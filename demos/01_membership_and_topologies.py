@@ -14,7 +14,6 @@ from openavg import (
     is_strongly_connected,
     membership_sets,
     out_neighbors,
-    remaining_out_neighbors,
     union_digraph,
 )
 
@@ -38,7 +37,7 @@ print("\nring edges     ", sorted(ring.edges))
 for v in sorted(now):
     print(
         f"node {v}: out-neighbors {sorted(out_neighbors(ring, v))}, "
-        f"legal targets {sorted(remaining_out_neighbors(ring, v, m))}"
+        f"legal targets {sorted(out_neighbors(ring, v) & m.remaining)}"
     )
 
 # --- instance families ------------------------------------------------------

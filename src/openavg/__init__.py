@@ -5,6 +5,8 @@ and route the tokens over time-varying directed links while nodes arrive
 and depart. The library provides the per-node protocol, a deterministic
 round engine, exact conservation and convergence analysis, scenario
 loading and validation, and trace reporting.
+
+The names imported below are the package's public API.
 """
 
 from .agent import (
@@ -12,7 +14,6 @@ from .agent import (
     MassMessage,
     SplitResult,
     StepOutcome,
-    arrive,
     depart_step,
     init_active,
     quantized_estimate,
@@ -47,7 +48,6 @@ from .graphs import (
     membership_sets,
     out_neighbors,
     random_out_degree_instance,
-    remaining_out_neighbors,
     strongly_connected_components,
     union_digraph,
 )
@@ -71,58 +71,3 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentState",
-    "AuditRow",
-    "ChurnEvent",
-    "ChurnInterval",
-    "ConvergenceReport",
-    "DigraphInstance",
-    "EngineInvariantError",
-    "ErrorValue",
-    "ExplicitChurn",
-    "ExplicitStates",
-    "ExplicitTopology",
-    "Finding",
-    "MassMessage",
-    "MembershipSets",
-    "NodeId",
-    "NodeVars",
-    "RandomFamilyTopology",
-    "RoundRecord",
-    "Scenario",
-    "ScenarioFormatError",
-    "ScenarioValidationError",
-    "SplitResult",
-    "StepOutcome",
-    "StochasticChurn",
-    "UniformIntStates",
-    "ValidationReport",
-    "Violation",
-    "arrive",
-    "conservation_audit",
-    "consensus_error",
-    "convergence_time",
-    "depart_step",
-    "directed_cycle",
-    "draw_topology",
-    "generate_instance_family",
-    "init_active",
-    "is_strongly_connected",
-    "load_scenario",
-    "membership_sets",
-    "out_neighbors",
-    "parse_scenario",
-    "quantized_estimate",
-    "random_out_degree_instance",
-    "receive",
-    "remaining_out_neighbors",
-    "remaining_step",
-    "run",
-    "split_mass",
-    "strongly_connected_components",
-    "true_average",
-    "union_digraph",
-    "validate_scenario",
-]

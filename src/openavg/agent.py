@@ -36,7 +36,6 @@ class AgentState:
     y_s: snapshot of y taken at the start of the last step
     z_s: snapshot of z taken at the start of the last step
     q_s: floor(y_s / z_s), frozen whenever z_s dropped below 1
-    r:   activation weight, fixed at 1 by the protocol
     """
 
     x: int
@@ -46,7 +45,6 @@ class AgentState:
     z_s: int
     q_s: int
     active: bool = True
-    r: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,22 +119,15 @@ def split_mass(y: int, z: int, n_candidates: int, rng: IntegerDraws) -> SplitRes
 
 
 def init_active(x: int) -> AgentState:
-    """State of a node that is active from the very first step.
+    """State of a node that is active from the first step, or that joins
+    the network with value x.
 
     Mass starts at (2x, 2): doubling makes the quantizer's initial
-    estimate exactly x while still giving the splitter two tokens.
+    estimate exactly x while still giving the splitter two tokens. An
+    arriving node's state takes effect only from the *next* step; it
+    neither sends nor receives during the step it appears.
     """
     return AgentState(x=x, y=2 * x, z=2, y_s=2 * x, z_s=2, q_s=x)
-
-
-def arrive(x: int) -> AgentState:
-    """Fresh state for a node joining the network with value x.
-
-    Identical to first-step initialization. The caller activates the
-    state only from the *next* step; an arriving node neither sends nor
-    receives during the step it appears.
-    """
-    return init_active(x)
 
 
 def quantized_estimate(state: AgentState) -> int:
@@ -222,7 +213,7 @@ def depart_step(
 
     pick = order[int(rng.integers(0, len(order)))]
     surplus_y = state.y - 2 * state.x
-    surplus_z = state.z - 2 * state.r
+    surplus_z = state.z - 2
     message = MassMessage(
         sender=node, receiver=pick, c_y=surplus_y, c_z=surplus_z, step=step
     )

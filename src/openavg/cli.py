@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import conservation_audit, convergence_time
@@ -39,48 +38,45 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for a run or sweep invocation."""
+class _Exit(Exception):
+    """Ends a subcommand early with an exit code, after its message."""
 
-    scenario_path: Path
-    seeds: tuple[int, ...]
-    out_dir: Path
-    svg: bool = False
-    strict: bool = False
+    def __init__(self, code: int) -> None:
+        super().__init__(code)
+        self.code = code
 
 
-def _print_findings(report: ValidationReport) -> None:
-    for finding in report.findings:
-        print(f"{finding.severity.upper():7s} {finding.code}: {finding.message}")
-
-
-def _load(path: str) -> Scenario | None:
+def _load(path: str) -> Scenario:
     try:
         return load_scenario(path)
     except ScenarioFormatError as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
-        return None
+        raise _Exit(EXIT_INPUT) from exc
 
 
-def _gate(scenario: Scenario, strict: bool) -> bool:
-    """Print findings; True when the scenario may run under this policy."""
+def _report(scenario: Scenario) -> ValidationReport:
+    """Validate and print every finding."""
     report = validate_scenario(scenario)
-    _print_findings(report)
+    for finding in report.findings:
+        print(f"{finding.severity.upper():7s} {finding.code}: {finding.message}")
+    return report
+
+
+def _prepare(args: argparse.Namespace, strict: bool) -> Scenario:
+    """Load and gate the scenario, then create the output directory."""
+    scenario = _load(args.scenario)
+    report = _report(scenario)
     if not report.ok(strict=strict):
         errors = len(report.errors())
         warnings = len(report.warnings())
         print(f"validation failed: {errors} error(s), {warnings} warning(s)")
-        return False
-    return True
+        raise _Exit(EXIT_VALIDATION)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    return scenario
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
-    report = validate_scenario(scenario)
-    _print_findings(report)
+    report = _report(_load(args.scenario))
     errors = len(report.errors())
     warnings = len(report.warnings())
     print(f"{errors} error(s), {warnings} warning(s)")
@@ -114,52 +110,39 @@ def _summarize(scenario: Scenario, seed: int, records: list[RoundRecord]) -> dic
     }
 
 
-def _check_conservation(records: list[RoundRecord]) -> bool:
-    """True when conservation holds wherever it must.
+def _checked_run(scenario: Scenario, seed: int) -> list[RoundRecord]:
+    """Records of one seed, with conservation held wherever it must.
 
     Any recorded violation (a stranded departure) legitimately breaks
     the identities from that step on, so only violation-free prefixes
     are held to the exact-zero standard.
     """
+    try:
+        records = run(scenario, seed)
+    except EngineInvariantError as exc:
+        print(f"seed {seed}: invariant breach: {exc}", file=sys.stderr)
+        raise _Exit(EXIT_INVARIANT) from exc
     first_violation = next(
         (r.step for r in records if r.violations), len(records)
     )
-    audit = conservation_audit(records)
-    for row in audit:
+    for row in conservation_audit(records):
         if row.step <= first_violation and (row.y_imbalance or row.z_imbalance):
-            return False
-    return True
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
-    if not _gate(scenario, args.strict):
-        return EXIT_VALIDATION
-    config = RunConfig(
-        scenario_path=Path(args.scenario),
-        seeds=tuple(args.seed) if args.seed else (scenario.seed,),
-        out_dir=Path(args.out),
-        svg=args.svg,
-        strict=args.strict,
-    )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stem = config.scenario_path.stem
-    for seed in config.seeds:
-        try:
-            records = run(scenario, seed)
-        except EngineInvariantError as exc:
-            print(f"seed {seed}: invariant breach: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        if not _check_conservation(records):
             print(
                 f"seed {seed}: conservation identity failed on a violation-free "
                 "prefix; this is a bug",
                 file=sys.stderr,
             )
-            return EXIT_INVARIANT
-        trace_path = config.out_dir / f"{stem}-seed{seed}-trace.csv"
+            raise _Exit(EXIT_INVARIANT)
+    return records
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _prepare(args, args.strict)
+    out_dir = Path(args.out)
+    stem = Path(args.scenario).stem
+    for seed in args.seed or (scenario.seed,):
+        records = _checked_run(scenario, seed)
+        trace_path = out_dir / f"{stem}-seed{seed}-trace.csv"
         write_trace_csv(records, scenario.n_total, trace_path)
         summary = _summarize(scenario, seed, records)
         state = (
@@ -172,9 +155,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{records[-1].epsilon}, {state}, "
             f"{summary['violation_count']} violation(s), trace -> {trace_path}"
         )
-        if config.svg:
-            estimates_path = config.out_dir / f"{stem}-seed{seed}-estimates.svg"
-            error_path = config.out_dir / f"{stem}-seed{seed}-error.svg"
+        if args.svg:
+            estimates_path = out_dir / f"{stem}-seed{seed}-estimates.svg"
+            error_path = out_dir / f"{stem}-seed{seed}-error.svg"
             write_svg(render_estimates_svg(records, scenario.n_total), estimates_path)
             write_svg(render_error_svg(records), error_path)
             print(f"seed {seed}: charts -> {estimates_path}, {error_path}")
@@ -182,25 +165,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
-    if not _gate(scenario, strict=False):
-        return EXIT_VALIDATION
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for seed in range(scenario.seed, scenario.seed + args.seeds):
-        try:
-            records = run(scenario, seed)
-        except EngineInvariantError as exc:
-            print(f"seed {seed}: invariant breach: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        if not _check_conservation(records):
-            print(f"seed {seed}: conservation identity failed", file=sys.stderr)
-            return EXIT_INVARIANT
-        rows.append(_summarize(scenario, seed, records))
-    path = out_dir / f"{Path(args.scenario).stem}-sweep.csv"
+    scenario = _prepare(args, strict=False)
+    rows = [
+        _summarize(scenario, seed, _checked_run(scenario, seed))
+        for seed in range(scenario.seed, scenario.seed + args.seeds)
+    ]
+    path = Path(args.out) / f"{Path(args.scenario).stem}-sweep.csv"
     write_summary_csv(rows, path)
     settled = sum(1 for row in rows if row["converged"])
     print(f"{settled}/{len(rows)} seeds settled, summary -> {path}")
@@ -246,7 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        return exc.code
 
 
 if __name__ == "__main__":

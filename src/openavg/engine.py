@@ -25,7 +25,7 @@ from . import rng
 from .agent import (
     AgentState,
     MassMessage,
-    arrive,
+    StepOutcome,
     depart_step,
     init_active,
     receive,
@@ -47,8 +47,7 @@ from .scenario import (
     RandomFamilyTopology,
     Scenario,
     ScenarioValidationError,
-    StochasticChurn,
-    UniformIntStates,
+    StateSource,
     validate_scenario,
 )
 
@@ -112,17 +111,6 @@ class _FamilyCache:
         return self._families[active]
 
 
-def _restrict_to(instance: DigraphInstance, active: frozenset[int]) -> DigraphInstance:
-    """Induced instance covering exactly the active set (absent nodes are
-    dropped, active nodes missing from the instance become isolated)."""
-    return DigraphInstance(
-        nodes=active,
-        edges=frozenset(
-            (a, b) for a, b in instance.edges if a in active and b in active
-        ),
-    )
-
-
 def draw_topology(
     scenario: Scenario,
     step: int,
@@ -148,7 +136,7 @@ def draw_topology(
 
     assert isinstance(topology, ExplicitTopology)
     if step < scenario.k_prime:
-        return _restrict_to(topology.transient[step], active)
+        return topology.transient[step].restricted_to(active)
     u = float(rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).random())
     cumulative = 0.0
     chosen = topology.stable[-1][0]
@@ -196,17 +184,11 @@ def _membership_change(
         return frozenset(), frozenset()
     weight_sum = interval.arrival_weight + interval.departure_weight
     wants_arrival = float(stream.random()) < interval.arrival_weight / weight_sum
-    inactive_pool = sorted(frozenset(range(scenario.n_total)) - active)
-    # A departure must leave at least one node behind.
-    can_arrive = bool(inactive_pool)
+    inactive_pool = [v for v in range(scenario.n_total) if v not in active]
+    # A departure must leave at least one node behind; an event that
+    # cannot go the drawn way goes the other way if it can.
     can_depart = len(active) > 1
-    if wants_arrival and not can_arrive:
-        wants_arrival = False
-    elif not wants_arrival and not can_depart:
-        wants_arrival = True
-    if wants_arrival:
-        if not can_arrive:
-            return frozenset(), frozenset()
+    if inactive_pool and (wants_arrival or not can_depart):
         pick = inactive_pool[int(stream.integers(0, len(inactive_pool)))]
         return frozenset({pick}), frozenset()
     if not can_depart:
@@ -216,30 +198,18 @@ def _membership_change(
     return frozenset(), frozenset({pick})
 
 
-def _initial_value(scenario: Scenario, seed: int, node: int) -> int:
-    source = scenario.initial_states
-    if isinstance(source, ExplicitStates):
-        return source.values[node]
-    assert isinstance(source, UniformIntStates)
-    return int(
-        rng.stream(seed, rng.TAG_INIT_STATE, node).integers(source.low, source.high + 1)
-    )
-
-
-def _arrival_value(scenario: Scenario, seed: int, step: int, node: int) -> int:
-    source = scenario.arrival_states
+def _state_value(
+    source: StateSource | None, node: int, seed: int, *stream_key: int | str
+) -> int:
+    """Value of ``node`` from ``source``; a uniform source draws it from
+    the stream (seed, *stream_key)."""
     if source is None:
         raise EngineInvariantError(
-            f"step {step}: node {node} arrives but no arrival state source exists"
+            f"node {node} arrives but no arrival state source exists"
         )
     if isinstance(source, ExplicitStates):
         return source.values[node]
-    assert isinstance(source, UniformIntStates)
-    return int(
-        rng.stream(seed, rng.TAG_ARRIVAL_STATE, step, node).integers(
-            source.low, source.high + 1
-        )
-    )
+    return int(rng.stream(seed, *stream_key).integers(source.low, source.high + 1))
 
 
 def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
@@ -266,7 +236,9 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     )
 
     states: dict[int, AgentState] = {
-        v: init_active(_initial_value(scenario, seed, v))
+        v: init_active(
+            _state_value(scenario.initial_states, v, seed, rng.TAG_INIT_STATE, v)
+        )
         for v in sorted(scenario.initially_active)
     }
     active = frozenset(scenario.initially_active)
@@ -288,14 +260,14 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
 
         violations: list[Violation] = []
         inbox: dict[int, list[MassMessage]] = {}
-        staged: dict[int, AgentState] = {}
-        kept: dict[int, tuple[int, int]] = {}
+        staged: dict[int, StepOutcome] = {}
 
-        for v in sorted(membership.departing):
+        # Departers hand off and leave; remaining nodes split and route.
+        for v in sorted(active):
+            departs = v in membership.departing
+            send = depart_step if departs else remaining_step
             targets = out_neighbors(instance, v) & membership.remaining
-            outcome = depart_step(
-                states[v], v, targets, k, rng.stream(seed, rng.TAG_AGENT, k, v)
-            )
+            outcome = send(states[v], v, targets, k, rng.stream(seed, rng.TAG_AGENT, k, v))
             if outcome.stranded:
                 violations.append(Violation(node=v, kind="stranded_departure"))
             for message in outcome.messages:
@@ -304,30 +276,22 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
                         f"step {k}: message to non-remaining node {message.receiver}"
                     )
                 inbox.setdefault(message.receiver, []).append(message)
-            del states[v]
+            if departs:
+                del states[v]
+            else:
+                staged[v] = outcome
 
-        for v in sorted(membership.remaining):
-            targets = out_neighbors(instance, v) & membership.remaining
-            outcome = remaining_step(
-                states[v], v, targets, k, rng.stream(seed, rng.TAG_AGENT, k, v)
-            )
-            staged[v] = outcome.state
-            kept[v] = (outcome.kept_y, outcome.kept_z)
-            for message in outcome.messages:
-                if message.receiver not in membership.remaining:
-                    raise EngineInvariantError(
-                        f"step {k}: message to non-remaining node {message.receiver}"
-                    )
-                inbox.setdefault(message.receiver, []).append(message)
-
-        for v in sorted(membership.remaining):
+        for v, outcome in staged.items():
             delivered = sorted(inbox.get(v, []), key=lambda m: m.sender)
-            states[v] = receive(staged[v], kept[v][0], kept[v][1], delivered)
+            states[v] = receive(outcome.state, outcome.kept_y, outcome.kept_z, delivered)
 
         for v in sorted(membership.arriving):
             if v in states:
                 raise EngineInvariantError(f"step {k}: node {v} arrives while active")
-            states[v] = arrive(_arrival_value(scenario, seed, k, v))
+            value = _state_value(
+                scenario.arrival_states, v, seed, rng.TAG_ARRIVAL_STATE, k, v
+            )
+            states[v] = init_active(value)
 
         records.append(
             RoundRecord(

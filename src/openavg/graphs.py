@@ -9,7 +9,7 @@ arriving, departing), which is what the per-node protocol logic keys on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -37,11 +37,11 @@ class DigraphInstance:
                 raise ValueError(f"edge ({tail},{head}) leaves the node set")
 
     def restricted_to(self, active: frozenset[NodeId]) -> "DigraphInstance":
-        """Induced subgraph on ``active`` (drops edges touching other nodes)."""
-        keep = self.nodes & active
+        """Instance covering exactly ``active``: edges touching other nodes
+        are dropped, and active nodes this instance omits become isolated."""
         return DigraphInstance(
-            nodes=keep,
-            edges=frozenset((a, b) for a, b in self.edges if a in keep and b in keep),
+            nodes=active,
+            edges=frozenset((a, b) for a, b in self.edges if a in active and b in active),
         )
 
 
@@ -52,6 +52,9 @@ class MembershipSets:
     remaining: active now and still active next step
     arriving:  inactive now, active next step
     departing: active now, inactive next step
+
+    The only legal message targets are out-neighbors in ``remaining``:
+    mass sent to a departing or absent node would leave the system.
     """
 
     remaining: frozenset[NodeId]
@@ -75,17 +78,6 @@ def out_neighbors(g: DigraphInstance, v: NodeId) -> frozenset[NodeId]:
     if v not in g.nodes:
         raise KeyError(f"node {v} not in instance")
     return frozenset(b for a, b in g.edges if a == v)
-
-
-def remaining_out_neighbors(
-    g: DigraphInstance, v: NodeId, membership: MembershipSets
-) -> frozenset[NodeId]:
-    """Out-neighbors of ``v`` that remain active through the step.
-
-    These are the only legal message targets: mass sent to a departing
-    or absent node would leave the system.
-    """
-    return out_neighbors(g, v) & membership.remaining
 
 
 def union_digraph(instances: Iterable[DigraphInstance]) -> DigraphInstance:

@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
 
-from .graphs import DigraphInstance, is_strongly_connected, union_digraph
-
-NodeId = int
+from .graphs import (
+    DigraphInstance,
+    NodeId,
+    is_strongly_connected,
+    out_neighbors,
+    union_digraph,
+)
 
 
 class ScenarioFormatError(Exception):
@@ -161,11 +166,23 @@ class ValidationReport:
 
 # -- parsing ----------------------------------------------------------------
 
+_T = TypeVar("_T")
+_REQUIRED: Any = object()
 
-def _need(obj: dict[str, Any], key: str, where: str) -> Any:
-    if key not in obj:
+
+def _field(
+    obj: dict[str, Any],
+    key: str,
+    where: str,
+    parse: Callable[[Any, str], Any] | None = None,
+    default: Any = _REQUIRED,
+) -> Any:
+    """``obj[key]``, passed through ``parse`` when one is given. A missing
+    key is an error unless a default (which is parsed too) is given."""
+    if key not in obj and default is _REQUIRED:
         raise ScenarioFormatError(f"{where}: missing key '{key}'")
-    return obj[key]
+    value = obj.get(key, default)
+    return value if parse is None else parse(value, f"{where}.{key}")
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -180,168 +197,159 @@ def _as_number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _node_list(value: Any, where: str) -> list[NodeId]:
+def _node_set(value: Any, where: str) -> frozenset[NodeId]:
     if not isinstance(value, list):
         raise ScenarioFormatError(f"{where}: expected a list of node ids")
-    return [_as_int(v, where) for v in value]
+    return frozenset(_as_int(v, where) for v in value)
 
 
-def _parse_instance(obj: Any, n_total: int, where: str) -> DigraphInstance:
+def _edge_set(value: Any, where: str) -> frozenset[tuple[NodeId, NodeId]]:
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{where}: expected a list of [tail, head]")
+    edges = set()
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ScenarioFormatError(f"{where}[{i}]: expected [tail, head]")
+        edges.add((_as_int(pair[0], where), _as_int(pair[1], where)))
+    return frozenset(edges)
+
+
+def _entries(value: Any, where: str) -> Iterator[tuple[str, dict[str, Any]]]:
+    """(location, object) for each entry of a list of objects."""
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{where}: expected a list")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ScenarioFormatError(f"{where}[{i}]: expected an object")
+        yield f"{where}[{i}]", entry
+
+
+def _list_of(parse: Callable[[dict[str, Any], str], _T]) -> Callable[[Any, str], list[_T]]:
+    """Parser of a list of objects that ``parse`` parses one by one."""
+    return lambda value, where: [parse(entry, w) for w, entry in _entries(value, where)]
+
+
+def _typed(obj: Any, where: str, what: str, parsers: dict[str, Callable[..., _T]]) -> _T:
+    """Parse an object with the parser that its "type" key names."""
     if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where}: expected an object with 'edges'")
+        raise ScenarioFormatError(f"{where}: expected an object")
+    kind = _field(obj, "type", where)
+    if not isinstance(kind, str) or kind not in parsers:
+        raise ScenarioFormatError(f"{where}: unknown {what} type {kind!r}")
+    return parsers[kind](obj, where)
+
+
+def _instance(obj: dict[str, Any], where: str, n_total: int) -> DigraphInstance:
     if "nodes" in obj:
-        nodes = frozenset(_node_list(obj["nodes"], f"{where}.nodes"))
+        nodes = _field(obj, "nodes", where, _node_set)
     else:
         nodes = frozenset(range(n_total))
-    raw_edges = _need(obj, "edges", where)
-    if not isinstance(raw_edges, list):
-        raise ScenarioFormatError(f"{where}.edges: expected a list of [tail, head]")
-    edges = set()
-    for i, pair in enumerate(raw_edges):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioFormatError(f"{where}.edges[{i}]: expected [tail, head]")
-        edges.add((_as_int(pair[0], where), _as_int(pair[1], where)))
     try:
-        return DigraphInstance(nodes=nodes, edges=frozenset(edges))
+        return DigraphInstance(nodes=nodes, edges=_field(obj, "edges", where, _edge_set))
     except ValueError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_state_source(obj: Any, where: str) -> StateSource:
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    kind = _need(obj, "type", where)
-    if kind == "explicit":
-        raw = _need(obj, "values", where)
-        if not isinstance(raw, dict):
-            raise ScenarioFormatError(f"{where}.values: expected an object")
-        values: dict[int, int] = {}
-        for key, val in raw.items():
-            try:
-                node = int(key)
-            except ValueError:
-                raise ScenarioFormatError(f"{where}.values: bad node id {key!r}")
-            values[node] = _as_int(val, f"{where}.values[{key}]")
-        return ExplicitStates(values=values)
-    if kind == "uniform_int":
-        return UniformIntStates(
-            low=_as_int(_need(obj, "low", where), f"{where}.low"),
-            high=_as_int(_need(obj, "high", where), f"{where}.high"),
-        )
-    raise ScenarioFormatError(f"{where}: unknown state source type {kind!r}")
+def _explicit_states(obj: dict[str, Any], where: str) -> ExplicitStates:
+    raw = _field(obj, "values", where)
+    if not isinstance(raw, dict):
+        raise ScenarioFormatError(f"{where}.values: expected an object")
+    values: dict[NodeId, int] = {}
+    for key, val in raw.items():
+        try:
+            node = int(key)
+        except ValueError:
+            raise ScenarioFormatError(f"{where}.values: bad node id {key!r}") from None
+        values[node] = _as_int(val, f"{where}.values[{key}]")
+    return ExplicitStates(values=values)
 
 
-def _parse_churn(obj: Any, where: str) -> ChurnSchedule:
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    kind = _need(obj, "type", where)
-    if kind == "none":
-        return ExplicitChurn(events=())
-    if kind == "explicit":
-        raw = _need(obj, "events", where)
-        if not isinstance(raw, list):
-            raise ScenarioFormatError(f"{where}.events: expected a list")
-        events = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise ScenarioFormatError(f"{where}.events[{i}]: expected an object")
-            events.append(
-                ChurnEvent(
-                    step=_as_int(_need(entry, "step", where), f"{where}.events[{i}].step"),
-                    arrivals=frozenset(
-                        _node_list(entry.get("arrivals", []), f"{where}.events[{i}].arrivals")
-                    ),
-                    departures=frozenset(
-                        _node_list(entry.get("departures", []), f"{where}.events[{i}].departures")
-                    ),
-                )
-            )
-        return ExplicitChurn(events=tuple(sorted(events, key=lambda e: e.step)))
-    if kind == "stochastic":
-        raw = _need(obj, "intervals", where)
-        if not isinstance(raw, list):
-            raise ScenarioFormatError(f"{where}.intervals: expected a list")
-        intervals = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise ScenarioFormatError(f"{where}.intervals[{i}]: expected an object")
-            w = f"{where}.intervals[{i}]"
-            intervals.append(
-                ChurnInterval(
-                    start=_as_int(_need(entry, "start", w), f"{w}.start"),
-                    end=_as_int(_need(entry, "end", w), f"{w}.end"),
-                    event_prob=_as_number(_need(entry, "event_prob", w), f"{w}.event_prob"),
-                    arrival_weight=_as_number(entry.get("arrival_weight", 0.5), f"{w}.arrival_weight"),
-                    departure_weight=_as_number(entry.get("departure_weight", 0.5), f"{w}.departure_weight"),
-                )
-            )
-        return StochasticChurn(intervals=tuple(sorted(intervals, key=lambda i: i.start)))
-    raise ScenarioFormatError(f"{where}: unknown churn type {kind!r}")
+def _state_source(obj: Any, where: str) -> StateSource:
+    return _typed(obj, where, "state source", {
+        "explicit": _explicit_states,
+        "uniform_int": lambda o, w: UniformIntStates(
+            low=_field(o, "low", w, _as_int), high=_field(o, "high", w, _as_int)
+        ),
+    })
 
 
-def _parse_topology(obj: Any, n_total: int, where: str) -> TopologySchedule:
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    kind = _need(obj, "type", where)
-    if kind == "random_family":
-        return RandomFamilyTopology(
-            min_out_degree=_as_int(
-                _need(obj, "min_out_degree", where), f"{where}.min_out_degree"
-            )
-        )
-    if kind == "explicit":
-        raw_transient = obj.get("transient", [])
-        if not isinstance(raw_transient, list):
-            raise ScenarioFormatError(f"{where}.transient: expected a list")
-        transient = tuple(
-            _parse_instance(entry, n_total, f"{where}.transient[{i}]")
-            for i, entry in enumerate(raw_transient)
-        )
-        raw_stable = _need(obj, "stable", where)
-        if not isinstance(raw_stable, list) or not raw_stable:
-            raise ScenarioFormatError(f"{where}.stable: expected a non-empty list")
-        stable = []
-        for i, entry in enumerate(raw_stable):
-            w = f"{where}.stable[{i}]"
-            if not isinstance(entry, dict) or "nodes" not in entry:
-                raise ScenarioFormatError(f"{w}: stable instances need explicit 'nodes'")
-            prob = _as_number(_need(entry, "p", w), f"{w}.p")
-            stable.append((_parse_instance(entry, n_total, w), prob))
-        return ExplicitTopology(transient=transient, stable=tuple(stable))
-    raise ScenarioFormatError(f"{where}: unknown topology type {kind!r}")
+def _churn_event(obj: dict[str, Any], where: str) -> ChurnEvent:
+    return ChurnEvent(
+        step=_field(obj, "step", where, _as_int),
+        arrivals=_field(obj, "arrivals", where, _node_set, []),
+        departures=_field(obj, "departures", where, _node_set, []),
+    )
+
+
+def _churn_interval(obj: dict[str, Any], where: str) -> ChurnInterval:
+    return ChurnInterval(
+        start=_field(obj, "start", where, _as_int),
+        end=_field(obj, "end", where, _as_int),
+        event_prob=_field(obj, "event_prob", where, _as_number),
+        arrival_weight=_field(obj, "arrival_weight", where, _as_number, 0.5),
+        departure_weight=_field(obj, "departure_weight", where, _as_number, 0.5),
+    )
+
+
+def _churn(obj: Any, where: str) -> ChurnSchedule:
+    events = _list_of(_churn_event)
+    intervals = _list_of(_churn_interval)
+    return _typed(obj, where, "churn", {
+        "none": lambda o, w: ExplicitChurn(events=()),
+        "explicit": lambda o, w: ExplicitChurn(
+            events=tuple(sorted(_field(o, "events", w, events), key=lambda e: e.step))
+        ),
+        "stochastic": lambda o, w: StochasticChurn(
+            intervals=tuple(sorted(_field(o, "intervals", w, intervals), key=lambda i: i.start))
+        ),
+    })
+
+
+def _explicit_topology(obj: dict[str, Any], where: str, n_total: int) -> ExplicitTopology:
+    instance = partial(_instance, n_total=n_total)
+    transient = _field(obj, "transient", where, _list_of(instance), [])
+    raw_stable = _field(obj, "stable", where)
+    if not isinstance(raw_stable, list) or not raw_stable:
+        raise ScenarioFormatError(f"{where}.stable: expected a non-empty list")
+    stable = []
+    for w, entry in _entries(raw_stable, f"{where}.stable"):
+        if "nodes" not in entry:
+            raise ScenarioFormatError(f"{w}: stable instances need explicit 'nodes'")
+        prob = _field(entry, "p", w, _as_number)
+        stable.append((instance(entry, w), prob))
+    return ExplicitTopology(transient=tuple(transient), stable=tuple(stable))
+
+
+def _topology(obj: Any, where: str, n_total: int) -> TopologySchedule:
+    return _typed(obj, where, "topology", {
+        "random_family": lambda o, w: RandomFamilyTopology(
+            min_out_degree=_field(o, "min_out_degree", w, _as_int)
+        ),
+        "explicit": partial(_explicit_topology, n_total=n_total),
+    })
 
 
 def parse_scenario(data: Any) -> Scenario:
     """Build a Scenario from already-decoded JSON data."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario: expected a JSON object at top level")
-    n_total = _as_int(_need(data, "n_total", "scenario"), "scenario.n_total")
-    initially_active = frozenset(
-        _node_list(_need(data, "initially_active", "scenario"), "scenario.initially_active")
-    )
-    initial_states = _parse_state_source(
-        _need(data, "initial_states", "scenario"), "scenario.initial_states"
-    )
-    arrival_states = (
-        _parse_state_source(data["arrival_states"], "scenario.arrival_states")
-        if "arrival_states" in data
-        else None
-    )
-    churn = _parse_churn(_need(data, "churn", "scenario"), "scenario.churn")
-    topology = _parse_topology(
-        _need(data, "topology", "scenario"), n_total, "scenario.topology"
-    )
+    where = "scenario"
+    n_total = _field(data, "n_total", where, _as_int)
     return Scenario(
         n_total=n_total,
-        initially_active=initially_active,
-        initial_states=initial_states,
-        arrival_states=arrival_states,
-        churn=churn,
-        topology=topology,
-        k_prime=_as_int(_need(data, "k_prime", "scenario"), "scenario.k_prime"),
-        family_size=_as_int(_need(data, "T", "scenario"), "scenario.T"),
-        horizon=_as_int(_need(data, "horizon", "scenario"), "scenario.horizon"),
-        seed=_as_int(data.get("seed", 0), "scenario.seed"),
+        initially_active=_field(data, "initially_active", where, _node_set),
+        initial_states=_field(data, "initial_states", where, _state_source),
+        arrival_states=(
+            _field(data, "arrival_states", where, _state_source)
+            if "arrival_states" in data
+            else None
+        ),
+        churn=_field(data, "churn", where, _churn),
+        topology=_field(data, "topology", where, partial(_topology, n_total=n_total)),
+        k_prime=_field(data, "k_prime", where, _as_int),
+        family_size=_field(data, "T", where, _as_int),
+        horizon=_field(data, "horizon", where, _as_int),
+        seed=_field(data, "seed", where, _as_int, 0),
     )
 
 
@@ -361,20 +369,107 @@ def load_scenario(path: str | Path) -> Scenario:
 # -- validation ---------------------------------------------------------------
 
 
-def _walk_explicit_membership(
-    s: Scenario, out: list[Finding]
-) -> list[frozenset[NodeId]] | None:
-    """Active set per step for explicit churn; None when inconsistent."""
+class _Findings(list[Finding]):
+    """Findings in the order the checks produce them."""
+
+    def add(self, code: str, severity: str, message: str) -> None:
+        self.append(Finding(code, severity, message))
+
+
+def _outside(ids: Iterable[NodeId], n_total: int) -> list[NodeId]:
+    """The ids outside range(n_total), sorted."""
+    return sorted(v for v in ids if not 0 <= v < n_total)
+
+
+def _scheduled_arrivals(s: Scenario) -> set[NodeId]:
+    if isinstance(s.churn, StochasticChurn):
+        return set()
+    return {v for event in s.churn.events for v in event.arrivals}
+
+
+def _check_basics(s: Scenario, out: _Findings) -> None:
+    if s.n_total < 1:
+        out.add("size", "error", "n_total must be at least 1")
+    if not s.initially_active:
+        out.add("membership", "error", "initially_active is empty")
+    if _outside(s.initially_active, s.n_total):
+        out.add("membership", "error", "initially_active contains ids outside range(n_total)")
+    if s.horizon < 0:
+        out.add("horizon", "error", "horizon must be non-negative")
+    if not 0 <= s.k_prime <= s.horizon:
+        out.add("stabilization", "error", f"k_prime must lie in [0, horizon], got {s.k_prime}")
+    if s.family_size < 1:
+        out.add("family-size", "error", "T must be at least 1")
+
+
+def _check_state_sources(s: Scenario, out: _Findings) -> None:
+    if isinstance(s.initial_states, ExplicitStates):
+        missing = s.initially_active - s.initial_states.values.keys()
+        if missing:
+            out.add(
+                "initial-states", "error", f"no initial state for active nodes {sorted(missing)}"
+            )
+        extras = _outside(s.initial_states.values, s.n_total)
+        if extras:
+            out.add("initial-states", "error", f"initial states for unknown ids {extras}")
+    elif s.initial_states.low > s.initial_states.high:
+        out.add("initial-states", "error", "uniform range is empty")
+
+    scheduled = _scheduled_arrivals(s)
+    any_node = isinstance(s.churn, StochasticChurn) and any(
+        iv.event_prob > 0 and iv.arrival_weight > 0 for iv in s.churn.intervals
+    )
+    if not (scheduled or any_node):
+        return
+    source = s.arrival_states
+    if source is None:
+        out.add("arrival-states", "error", "churn can admit nodes but arrival_states is missing")
+    elif isinstance(source, ExplicitStates):
+        uncovered = scheduled - source.values.keys()
+        if uncovered:
+            out.add("arrival-states", "error", f"no arrival state for {sorted(uncovered)}")
+        covered = sum(0 <= v < s.n_total for v in source.values)  # keys are distinct
+        if any_node and covered < s.n_total:
+            out.add(
+                "arrival-states",
+                "error",
+                "stochastic churn can admit any node; explicit arrival "
+                "states must cover every id",
+            )
+    elif source.low > source.high:
+        out.add("arrival-states", "error", "uniform range is empty")
+
+
+def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]] | None:
+    """Event checks, then the membership walk when nothing is wrong so far.
+
+    Returns the active set of every step, or None when the walk did not
+    run or found the schedule inconsistent.
+    """
     assert isinstance(s.churn, ExplicitChurn)
+    touched = _scheduled_arrivals(s).union(*(e.departures for e in s.churn.events))
+    if _outside(touched, s.n_total):
+        out.add("churn-ids", "error", "churn events reference ids outside range(n_total)")
+    for event in s.churn.events:
+        if not 0 <= event.step <= s.horizon:
+            out.add(
+                "churn-step", "error", f"churn event at step {event.step} is outside [0, horizon]"
+            )
+        elif event.step >= s.k_prime and (event.arrivals or event.departures):
+            out.add(
+                "late-churn",
+                "warning",
+                f"membership changes at step {event.step} on or after "
+                f"k_prime={s.k_prime}; post-stabilization guarantees do not apply",
+            )
+    if any(f.severity == "error" for f in out):
+        return None
+
     by_step: dict[int, ChurnEvent] = {}
     for event in s.churn.events:
         if event.step in by_step:
-            out.append(
-                Finding(
-                    "churn-duplicate-step",
-                    "error",
-                    f"two churn events scheduled at step {event.step}",
-                )
+            out.add(
+                "churn-duplicate-step", "error", f"two churn events scheduled at step {event.step}"
             )
             return None
         by_step[event.step] = event
@@ -384,353 +479,180 @@ def _walk_explicit_membership(
     consistent = True
     for k in range(s.horizon + 1):
         event = by_step.get(k)
-        if event is None:
-            history.append(active)
-            continue
-        if event.arrivals & event.departures:
-            out.append(
-                Finding(
+        if event is not None:
+            before = len(out)
+            if event.arrivals & event.departures:
+                out.add(
                     "churn-overlap",
                     "error",
                     f"step {k}: nodes listed as both arriving and departing",
                 )
-            )
-            consistent = False
-        bad_arrivals = event.arrivals & active
-        if bad_arrivals:
-            out.append(
-                Finding(
+            if event.arrivals & active:
+                out.add(
                     "churn-arrive-active",
                     "error",
-                    f"step {k}: arrivals {sorted(bad_arrivals)} are already active",
+                    f"step {k}: arrivals {sorted(event.arrivals & active)} are already active",
                 )
-            )
-            consistent = False
-        bad_departures = event.departures - active
-        if bad_departures:
-            out.append(
-                Finding(
+            if event.departures - active:
+                out.add(
                     "churn-depart-inactive",
                     "error",
-                    f"step {k}: departures {sorted(bad_departures)} are not active",
+                    f"step {k}: departures {sorted(event.departures - active)} are not active",
                 )
-            )
-            consistent = False
-        next_active = (active - event.departures) | event.arrivals
-        if not next_active:
-            out.append(
-                Finding(
-                    "churn-empty-network",
-                    "error",
-                    f"step {k}: the network would become empty",
-                )
-            )
-            consistent = False
-        active = next_active
+            active = (active - event.departures) | event.arrivals
+            if not active:
+                out.add("churn-empty-network", "error", f"step {k}: the network would become empty")
+            consistent = consistent and len(out) == before
         history.append(active)
     return history if consistent else None
+
+
+def _check_stochastic_churn(s: Scenario, out: _Findings) -> None:
+    assert isinstance(s.churn, StochasticChurn)
+    previous_end = None
+    for iv in s.churn.intervals:
+        if not 0.0 <= iv.event_prob <= 1.0:
+            out.add("churn-prob", "error", "event_prob must be in [0, 1]")
+        if iv.arrival_weight < 0 or iv.departure_weight < 0:
+            out.add("churn-weights", "error", "churn weights must be >= 0")
+        elif iv.arrival_weight + iv.departure_weight <= 0:
+            out.add("churn-weights", "error", "churn weights sum to zero")
+        if iv.start > iv.end or iv.start < 0:
+            out.add("churn-interval", "error", f"bad interval [{iv.start}, {iv.end}]")
+        if previous_end is not None and iv.start <= previous_end:
+            out.add("churn-interval", "error", "churn intervals overlap")
+        previous_end = max(iv.end, previous_end or iv.end)
+        if iv.end >= s.k_prime and iv.event_prob > 0:
+            out.add(
+                "late-churn",
+                "warning",
+                f"interval [{iv.start}, {iv.end}] extends past "
+                f"k_prime={s.k_prime}; the engine will not fire events "
+                "there, trim the interval",
+            )
+
+
+def _check_topology(s: Scenario, out: _Findings) -> None:
+    topo = s.topology
+    if isinstance(topo, RandomFamilyTopology):
+        if topo.min_out_degree < 1:
+            out.add(
+                "topology-degree",
+                "error",
+                "min_out_degree must be at least 1 or departures can strand",
+            )
+        out.add(
+            "stable-union-connectivity",
+            "info",
+            "random families are regenerated until their union is strongly "
+            "connected, so the post-stabilization connectivity requirement "
+            "holds by construction",
+        )
+        return
+    if len(topo.transient) < s.k_prime:
+        out.add(
+            "topology-transient",
+            "error",
+            f"need {s.k_prime} transient instances (one per step before "
+            f"k_prime), got {len(topo.transient)}",
+        )
+    elif len(topo.transient) > s.k_prime:
+        out.add(
+            "topology-transient",
+            "warning",
+            "extra transient instances beyond k_prime are never used",
+        )
+    stable_nodes = topo.stable[0][0].nodes
+    if any(g.nodes != stable_nodes for g, _ in topo.stable):
+        out.add("topology-stable-nodes", "error", "stable instances span different node sets")
+    else:
+        total = sum(p for _, p in topo.stable)
+        if any(p < 0 for _, p in topo.stable) or abs(total - 1.0) > 1e-9:
+            out.add(
+                "topology-probabilities",
+                "error",
+                f"stable probabilities must be >= 0 and sum to 1, sum is {total}",
+            )
+        if not is_strongly_connected(union_digraph([g for g, _ in topo.stable])):
+            out.add(
+                "stable-union-connectivity",
+                "warning",
+                "the union of stable instances is not strongly connected; "
+                "convergence is not guaranteed",
+            )
+    if len(topo.stable) != s.family_size:
+        out.add(
+            "family-size",
+            "warning",
+            f"T={s.family_size} but {len(topo.stable)} stable instances are listed",
+        )
+    if isinstance(s.churn, StochasticChurn):
+        out.add(
+            "topology-stable-nodes",
+            "warning",
+            "explicit stable instances with stochastic churn: the "
+            "post-stabilization active set is random and may not match",
+        )
+
+
+def _check_departures(
+    s: Scenario, history: list[frozenset[NodeId]] | None, out: _Findings
+) -> None:
+    """The departure condition, checked against the instance the engine
+    will use wherever that instance is known before the run."""
+    if isinstance(s.churn, StochasticChurn):
+        out.add(
+            "stranded-departure",
+            "info",
+            "stochastic churn: the departure condition is checked at runtime",
+        )
+    topo = s.topology
+    if history is None or not isinstance(topo, ExplicitTopology):
+        return
+    assert isinstance(s.churn, ExplicitChurn)
+    final_active = history[min(s.k_prime, len(history) - 1)]
+    stable_nodes = topo.stable[0][0].nodes
+    if stable_nodes != final_active:
+        out.add(
+            "topology-stable-nodes",
+            "error",
+            f"stable instances cover {sorted(stable_nodes)} but the "
+            f"active set from k_prime on is {sorted(final_active)}",
+        )
+    for event in s.churn.events:
+        k = event.step
+        if k >= s.k_prime:
+            if len(topo.stable) > 1:
+                continue  # instance drawn at runtime, cannot check statically
+            g = topo.stable[0][0]
+        elif k < len(topo.transient):
+            g = topo.transient[k].restricted_to(history[k])
+        else:
+            continue  # no instance for this step, a topology-transient error
+        remaining = history[k] - event.departures
+        for v in sorted(event.departures):
+            # The engine refuses a stable instance that misses an active node.
+            if v in g.nodes and not out_neighbors(g, v) & remaining:
+                out.add(
+                    "stranded-departure",
+                    "warning",
+                    f"step {k}: node {v} departs with no remaining "
+                    "out-neighbor; its surplus mass will be lost",
+                )
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Semantic checks. Errors make a scenario unrunnable; warnings mark
     configurations where the convergence guarantees do not apply.
     """
-    out: list[Finding] = []
-    all_ids = frozenset(range(s.n_total))
-
-    if s.n_total < 1:
-        out.append(Finding("size", "error", "n_total must be at least 1"))
-    if not s.initially_active:
-        out.append(Finding("membership", "error", "initially_active is empty"))
-    if not s.initially_active <= all_ids:
-        out.append(
-            Finding(
-                "membership",
-                "error",
-                "initially_active contains ids outside range(n_total)",
-            )
-        )
-    if s.horizon < 0:
-        out.append(Finding("horizon", "error", "horizon must be non-negative"))
-    if not 0 <= s.k_prime <= s.horizon:
-        out.append(
-            Finding(
-                "stabilization",
-                "error",
-                f"k_prime must lie in [0, horizon], got {s.k_prime}",
-            )
-        )
-    if s.family_size < 1:
-        out.append(Finding("family-size", "error", "T must be at least 1"))
-
-    # State sources.
-    if isinstance(s.initial_states, ExplicitStates):
-        missing = s.initially_active - s.initial_states.values.keys()
-        if missing:
-            out.append(
-                Finding(
-                    "initial-states",
-                    "error",
-                    f"no initial state for active nodes {sorted(missing)}",
-                )
-            )
-        extras = s.initial_states.values.keys() - all_ids
-        if extras:
-            out.append(
-                Finding(
-                    "initial-states",
-                    "error",
-                    f"initial states for unknown ids {sorted(extras)}",
-                )
-            )
-    else:
-        if s.initial_states.low > s.initial_states.high:
-            out.append(Finding("initial-states", "error", "uniform range is empty"))
-
-    scheduled_arrivals: set[int] = set()
+    out = _Findings()
+    _check_basics(s, out)
+    _check_state_sources(s, out)
+    history = None
     if isinstance(s.churn, ExplicitChurn):
-        for event in s.churn.events:
-            scheduled_arrivals |= event.arrivals
-    needs_arrivals = isinstance(s.churn, StochasticChurn) and any(
-        iv.event_prob > 0 and iv.arrival_weight > 0 for iv in s.churn.intervals
-    )
-    if scheduled_arrivals or needs_arrivals:
-        if s.arrival_states is None:
-            out.append(
-                Finding(
-                    "arrival-states",
-                    "error",
-                    "churn can admit nodes but arrival_states is missing",
-                )
-            )
-        elif isinstance(s.arrival_states, ExplicitStates):
-            covered = s.arrival_states.values.keys()
-            if scheduled_arrivals - covered:
-                out.append(
-                    Finding(
-                        "arrival-states",
-                        "error",
-                        f"no arrival state for {sorted(scheduled_arrivals - covered)}",
-                    )
-                )
-            if needs_arrivals and not all_ids <= covered:
-                out.append(
-                    Finding(
-                        "arrival-states",
-                        "error",
-                        "stochastic churn can admit any node; explicit arrival "
-                        "states must cover every id",
-                    )
-                )
-        elif s.arrival_states.low > s.arrival_states.high:
-            out.append(Finding("arrival-states", "error", "uniform range is empty"))
-
-    # Churn schedule shape.
-    history: list[frozenset[NodeId]] | None = None
-    if isinstance(s.churn, ExplicitChurn):
-        touched = scheduled_arrivals | {
-            v for e in s.churn.events for v in e.departures
-        }
-        if not touched <= all_ids:
-            out.append(
-                Finding(
-                    "churn-ids",
-                    "error",
-                    "churn events reference ids outside range(n_total)",
-                )
-            )
-        for event in s.churn.events:
-            if not 0 <= event.step <= s.horizon:
-                out.append(
-                    Finding(
-                        "churn-step",
-                        "error",
-                        f"churn event at step {event.step} is outside [0, horizon]",
-                    )
-                )
-            elif event.step >= s.k_prime and (event.arrivals or event.departures):
-                out.append(
-                    Finding(
-                        "late-churn",
-                        "warning",
-                        f"membership changes at step {event.step} on or after "
-                        f"k_prime={s.k_prime}; post-stabilization guarantees "
-                        "do not apply",
-                    )
-                )
-        if not any(f.severity == "error" for f in out):
-            history = _walk_explicit_membership(s, out)
+        history = _check_explicit_churn(s, out)
     else:
-        previous_end = None
-        for iv in s.churn.intervals:
-            if not (0.0 <= iv.event_prob <= 1.0):
-                out.append(
-                    Finding("churn-prob", "error", "event_prob must be in [0, 1]")
-                )
-            if iv.arrival_weight < 0 or iv.departure_weight < 0:
-                out.append(
-                    Finding("churn-weights", "error", "churn weights must be >= 0")
-                )
-            elif iv.arrival_weight + iv.departure_weight <= 0:
-                out.append(
-                    Finding("churn-weights", "error", "churn weights sum to zero")
-                )
-            if iv.start > iv.end or iv.start < 0:
-                out.append(
-                    Finding(
-                        "churn-interval",
-                        "error",
-                        f"bad interval [{iv.start}, {iv.end}]",
-                    )
-                )
-            if previous_end is not None and iv.start <= previous_end:
-                out.append(
-                    Finding("churn-interval", "error", "churn intervals overlap")
-                )
-            previous_end = max(iv.end, previous_end or iv.end)
-            if iv.end >= s.k_prime and iv.event_prob > 0:
-                out.append(
-                    Finding(
-                        "late-churn",
-                        "warning",
-                        f"interval [{iv.start}, {iv.end}] extends past "
-                        f"k_prime={s.k_prime}; the engine will not fire events "
-                        "there, trim the interval",
-                    )
-                )
-
-    # Topology schedule.
-    if isinstance(s.topology, RandomFamilyTopology):
-        if s.topology.min_out_degree < 1:
-            out.append(
-                Finding(
-                    "topology-degree",
-                    "error",
-                    "min_out_degree must be at least 1 or departures can strand",
-                )
-            )
-        out.append(
-            Finding(
-                "stable-union-connectivity",
-                "info",
-                "random families are regenerated until their union is strongly "
-                "connected, so the post-stabilization connectivity requirement "
-                "holds by construction",
-            )
-        )
-    else:
-        topo = s.topology
-        if len(topo.transient) < s.k_prime:
-            out.append(
-                Finding(
-                    "topology-transient",
-                    "error",
-                    f"need {s.k_prime} transient instances (one per step before "
-                    f"k_prime), got {len(topo.transient)}",
-                )
-            )
-        elif len(topo.transient) > s.k_prime:
-            out.append(
-                Finding(
-                    "topology-transient",
-                    "warning",
-                    "extra transient instances beyond k_prime are never used",
-                )
-            )
-        stable_nodes = topo.stable[0][0].nodes
-        if any(g.nodes != stable_nodes for g, _ in topo.stable):
-            out.append(
-                Finding(
-                    "topology-stable-nodes",
-                    "error",
-                    "stable instances span different node sets",
-                )
-            )
-        else:
-            total = sum(p for _, p in topo.stable)
-            if any(p < 0 for _, p in topo.stable) or abs(total - 1.0) > 1e-9:
-                out.append(
-                    Finding(
-                        "topology-probabilities",
-                        "error",
-                        f"stable probabilities must be >= 0 and sum to 1, sum is {total}",
-                    )
-                )
-            union = union_digraph([g for g, _ in topo.stable])
-            if not is_strongly_connected(union):
-                out.append(
-                    Finding(
-                        "stable-union-connectivity",
-                        "warning",
-                        "the union of stable instances is not strongly connected; "
-                        "convergence is not guaranteed",
-                    )
-                )
-        if len(topo.stable) != s.family_size:
-            out.append(
-                Finding(
-                    "family-size",
-                    "warning",
-                    f"T={s.family_size} but {len(topo.stable)} stable instances "
-                    "are listed",
-                )
-            )
-        if isinstance(s.churn, StochasticChurn):
-            out.append(
-                Finding(
-                    "topology-stable-nodes",
-                    "warning",
-                    "explicit stable instances with stochastic churn: the "
-                    "post-stabilization active set is random and may not match",
-                )
-            )
-
-    # Cross checks that need the deterministic membership walk.
-    if history is not None and isinstance(s.topology, ExplicitTopology):
-        final_active = history[min(s.k_prime, len(history) - 1)]
-        stable_nodes = s.topology.stable[0][0].nodes
-        if stable_nodes != final_active:
-            out.append(
-                Finding(
-                    "topology-stable-nodes",
-                    "error",
-                    f"stable instances cover {sorted(stable_nodes)} but the "
-                    f"active set from k_prime on is {sorted(final_active)}",
-                )
-            )
-        assert isinstance(s.churn, ExplicitChurn)
-        for event in s.churn.events:
-            if not event.departures or not 0 <= event.step <= s.horizon:
-                continue
-            k = event.step
-            active_k = history[k]
-            if k < s.k_prime:
-                g = s.topology.transient[k].restricted_to(active_k)
-            elif len(s.topology.stable) == 1:
-                g = s.topology.stable[0][0].restricted_to(active_k)
-            else:
-                continue  # instance drawn at runtime, cannot check statically
-            remaining = active_k - event.departures
-            for v in sorted(event.departures):
-                if v not in g.nodes:
-                    continue
-                reachable = {b for a, b in g.edges if a == v} & remaining
-                if not reachable:
-                    out.append(
-                        Finding(
-                            "stranded-departure",
-                            "warning",
-                            f"step {k}: node {v} departs with no remaining "
-                            "out-neighbor; its surplus mass will be lost",
-                        )
-                    )
-    elif isinstance(s.churn, StochasticChurn):
-        out.append(
-            Finding(
-                "stranded-departure",
-                "info",
-                "stochastic churn: the departure condition is checked at runtime",
-            )
-        )
-
+        _check_stochastic_churn(s, out)
+    _check_topology(s, out)
+    _check_departures(s, history, out)
     return ValidationReport(findings=tuple(out))

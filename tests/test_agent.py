@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from openavg.agent import (
     AgentState,
     MassMessage,
-    arrive,
     depart_step,
     init_active,
     quantized_estimate,
@@ -45,11 +44,7 @@ class TestInitialization:
         s = init_active(5)
         assert (s.x, s.y, s.z) == (5, 10, 2)
         assert (s.y_s, s.z_s, s.q_s) == (10, 2, 5)
-        assert s.active and s.r == 1
-
-    def test_arrival_matches_initialization(self):
-        assert arrive(-3) == init_active(-3)
-        assert arrive(-3).q_s == -3
+        assert s.active
 
 
 class TestQuantizedEstimate:

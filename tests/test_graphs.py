@@ -11,7 +11,6 @@ from openavg.graphs import (
     membership_sets,
     out_neighbors,
     random_out_degree_instance,
-    remaining_out_neighbors,
     strongly_connected_components,
     union_digraph,
 )
@@ -36,11 +35,12 @@ class TestDigraphInstance:
         assert sub.nodes == {0, 1}
         assert sub.edges == {(0, 1)}
 
-    def test_restriction_to_disjoint_set_is_empty(self):
+    def test_restriction_isolates_active_nodes_the_instance_omits(self):
         full = g({0, 1}, {(0, 1)})
         sub = full.restricted_to(frozenset({5}))
-        assert sub.nodes == set()
+        assert sub.nodes == {5}
         assert sub.edges == set()
+        assert out_neighbors(sub, 5) == set()
 
 
 class TestMembership:
@@ -76,7 +76,7 @@ class TestNeighbors:
     def test_remaining_filter(self):
         inst = g({0, 1, 2, 3}, {(0, 1), (0, 2), (0, 3)})
         m = membership_sets(frozenset({0, 1, 2, 3}), frozenset({0, 1}))
-        assert remaining_out_neighbors(inst, 0, m) == {1}
+        assert out_neighbors(inst, 0) & m.remaining == {1}
 
 
 class TestUnion:
