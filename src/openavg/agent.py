@@ -16,7 +16,7 @@ negative values; do not "optimize" it to C-style truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 
@@ -180,8 +180,8 @@ def remaining_step(
         for t in order
         if t in accum and accum[t][1] >= 1
     )
-    new_state = replace(
-        state, y=0, z=0, y_s=y_snapshot, z_s=z_snapshot, q_s=q
+    new_state = AgentState(
+        x=state.x, y=0, z=0, y_s=y_snapshot, z_s=z_snapshot, q_s=q
     )
     return StepOutcome(state=new_state, messages=messages, kept_y=kept_y, kept_z=kept_z)
 
@@ -203,7 +203,7 @@ def depart_step(
     """
     if not state.active:
         raise ValueError(f"node {node} is inactive")
-    gone = replace(state, active=False, y=0, z=0, y_s=0, z_s=0, q_s=0)
+    gone = AgentState(x=state.x, y=0, z=0, y_s=0, z_s=0, q_s=0, active=False)
 
     order = sorted(set(targets))
     if node in order:
@@ -234,4 +234,7 @@ def receive(
     for message in inbound:
         y += message.c_y
         z += message.c_z
-    return replace(state, y=y, z=z)
+    return AgentState(
+        x=state.x, y=y, z=z, y_s=state.y_s, z_s=state.z_s, q_s=state.q_s,
+        active=state.active,
+    )

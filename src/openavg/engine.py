@@ -37,7 +37,8 @@ from .graphs import (
     MembershipSets,
     generate_instance_family,
     membership_sets,
-    out_neighbors,
+    out_adjacency,
+    out_neighbors,  # noqa: F401  (perfbench's tests trace it through this name)
 )
 from .scenario import (
     ChurnEvent,
@@ -184,18 +185,29 @@ def _membership_change(
         return frozenset(), frozenset()
     weight_sum = interval.arrival_weight + interval.departure_weight
     wants_arrival = float(stream.random()) < interval.arrival_weight / weight_sum
-    inactive_pool = [v for v in range(scenario.n_total) if v not in active]
+    inactive_count = scenario.n_total - len(active)
     # A departure must leave at least one node behind; an event that
     # cannot go the drawn way goes the other way if it can.
     can_depart = len(active) > 1
-    if inactive_pool and (wants_arrival or not can_depart):
-        pick = inactive_pool[int(stream.integers(0, len(inactive_pool)))]
+    if inactive_count and (wants_arrival or not can_depart):
+        pick = _nth_inactive(active, int(stream.integers(0, inactive_count)))
         return frozenset({pick}), frozenset()
     if not can_depart:
         return frozenset(), frozenset()
     active_pool = sorted(active)
     pick = active_pool[int(stream.integers(0, len(active_pool)))]
     return frozenset(), frozenset({pick})
+
+
+def _nth_inactive(active: frozenset[int], index: int) -> int:
+    """The ``index``-th smallest id >= 0 outside ``active``, found by
+    walking the active ids instead of listing the inactive ones."""
+    pick = index
+    for v in sorted(active):
+        if v > pick:
+            break
+        pick += 1
+    return pick
 
 
 def _state_value(
@@ -263,11 +275,14 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         staged: dict[int, StepOutcome] = {}
 
         # Departers hand off and leave; remaining nodes split and route.
+        # A node's agent stream is seeded only if it draws: one holding
+        # z <= 1 tokens splits nothing.
+        heads = out_adjacency(instance)
         for v in sorted(active):
             departs = v in membership.departing
             send = depart_step if departs else remaining_step
-            targets = out_neighbors(instance, v) & membership.remaining
-            outcome = send(states[v], v, targets, k, rng.stream(seed, rng.TAG_AGENT, k, v))
+            targets = heads[v] & membership.remaining
+            outcome = send(states[v], v, targets, k, rng.LazyStream(seed, rng.TAG_AGENT, k, v))
             if outcome.stranded:
                 violations.append(Violation(node=v, kind="stranded_departure"))
             for message in outcome.messages:
@@ -280,6 +295,9 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
                 del states[v]
             else:
                 staged[v] = outcome
+        # Freed before the next step builds its own, so that two steps'
+        # adjacencies are never held at once (it shows in peak memory).
+        del heads
 
         for v, outcome in staged.items():
             delivered = sorted(inbox.get(v, []), key=lambda m: m.sender)

@@ -73,11 +73,21 @@ def membership_sets(
     )
 
 
+def out_adjacency(g: DigraphInstance) -> dict[NodeId, set[NodeId]]:
+    """Heads of the edges leaving each node, with every node of ``g`` as a
+    key. One pass over the edges, so a caller that needs many nodes'
+    out-neighbors builds this once instead of scanning per node."""
+    heads: dict[NodeId, set[NodeId]] = {v: set() for v in g.nodes}
+    for a, b in g.edges:
+        heads[a].add(b)
+    return heads
+
+
 def out_neighbors(g: DigraphInstance, v: NodeId) -> frozenset[NodeId]:
     """Heads of edges leaving ``v``. ``v`` itself is never included."""
     if v not in g.nodes:
         raise KeyError(f"node {v} not in instance")
-    return frozenset(b for a, b in g.edges if a == v)
+    return frozenset(out_adjacency(g)[v])
 
 
 def union_digraph(instances: Iterable[DigraphInstance]) -> DigraphInstance:
@@ -171,15 +181,15 @@ def random_out_degree_instance(
     ordered = sorted(set(nodes))
     if not ordered:
         raise ValueError("need at least one node")
+    take = min(min_out_degree, len(ordered) - 1)
     edges: set[tuple[NodeId, NodeId]] = set()
-    for v in ordered:
-        others = [u for u in ordered if u != v]
-        take = min(min_out_degree, len(others))
-        if take <= 0:
-            continue
-        picks = rng.choice(len(others), size=take, replace=False)
-        for i in picks:
-            edges.add((v, others[int(i)]))
+    if take > 0:
+        for pos, v in enumerate(ordered):
+            # Index i draws from the n-1 nodes other than v, in sorted order:
+            # those before v keep their index, those after it shift by one.
+            picks = rng.choice(len(ordered) - 1, size=take, replace=False)
+            for i in picks.tolist():
+                edges.add((v, ordered[i if i < pos else i + 1]))
     return DigraphInstance(nodes=frozenset(ordered), edges=frozenset(edges))
 
 

@@ -10,6 +10,7 @@ order or on which subsystem asks first.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,20 +26,42 @@ TAG_TOPOLOGY_DRAW = "topology-draw"
 TAG_AGENT = "agent"
 
 
+@lru_cache(maxsize=64)
+def _tag_word(tag: str) -> int:
+    digest = hashlib.sha256(tag.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def _key_words(parts: tuple[int | str, ...]) -> list[int]:
-    words: list[int] = []
-    for part in parts:
-        if isinstance(part, str):
-            digest = hashlib.sha256(part.encode("utf-8")).digest()
-            words.append(int.from_bytes(digest[:8], "little"))
-        else:
-            words.append(int(part) & _MASK64)
-    return words
+    return [
+        _tag_word(part) if isinstance(part, str) else int(part) & _MASK64
+        for part in parts
+    ]
 
 
 def stream(seed: int, *key: int | str) -> np.random.Generator:
     """Generator for (seed, *key). Identical arguments, identical draws."""
     return np.random.default_rng(np.random.SeedSequence(_key_words((seed, *key))))
+
+
+class LazyStream:
+    """The stream (seed, *key), created on its first draw.
+
+    Its draws are those of ``stream(seed, *key)``; a holder that never
+    draws never pays for seeding a generator. Only ``integers`` is
+    offered, which is all the per-node protocol draws.
+    """
+
+    __slots__ = ("_key", "_generator")
+
+    def __init__(self, seed: int, *key: int | str) -> None:
+        self._key = (seed, *key)
+        self._generator: np.random.Generator | None = None
+
+    def integers(self, low: int, high: int) -> int:
+        if self._generator is None:
+            self._generator = stream(*self._key)
+        return self._generator.integers(low, high)
 
 
 def node_set_fingerprint(nodes) -> int:

@@ -619,6 +619,18 @@ def _check_departures(
             f"stable instances cover {sorted(stable_nodes)} but the "
             f"active set from k_prime on is {sorted(final_active)}",
         )
+    else:
+        # The engine draws a stable instance at every step through the
+        # horizon, so churn after k_prime breaks the match at the next step.
+        for k in range(s.k_prime + 1, s.horizon + 1):
+            if history[k] != stable_nodes:
+                out.add(
+                    "topology-stable-nodes",
+                    "error",
+                    f"stable instances cover {sorted(stable_nodes)} but the "
+                    f"active set at step {k} is {sorted(history[k])}",
+                )
+                break
     for event in s.churn.events:
         k = event.step
         if k >= s.k_prime:

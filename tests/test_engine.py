@@ -1,14 +1,17 @@
 """Round engine: step ordering, conservation, churn, topology draws."""
 
 import dataclasses
+import random
 
 import pytest
 
+from openavg import rng
 from openavg.analysis import conservation_audit
 from openavg.engine import (
     EngineInvariantError,
     NodeVars,
     _FamilyCache,
+    _nth_inactive,
     draw_topology,
     run,
 )
@@ -254,3 +257,54 @@ class TestDrawTopology:
         })
         with pytest.raises(EngineInvariantError):
             run(scenario)
+
+
+class TestHotPathEquivalence:
+    def test_lazy_stream_draws_match_stream(self):
+        lazy = rng.LazyStream(5, rng.TAG_AGENT, 3, 17)
+        eager = rng.stream(5, rng.TAG_AGENT, 3, 17)
+        for high in (1, 2, 3, 7, 2, 100, 5):
+            assert int(lazy.integers(0, high)) == int(eager.integers(0, high))
+
+    def test_nth_inactive_matches_listing(self):
+        pick = random.Random(4)
+        for _ in range(300):
+            n_total = pick.randint(1, 40)
+            active = frozenset(pick.sample(range(n_total), pick.randint(0, n_total)))
+            inactive = [v for v in range(n_total) if v not in active]
+            assert [_nth_inactive(active, i) for i in range(len(inactive))] == inactive
+
+    def test_node_holding_one_token_seeds_no_agent_stream(self, monkeypatch):
+        # Node 0 has no in-edge: once it routes a token away it keeps
+        # z == 1 for good, and splits nothing.
+        scenario = parse_scenario({
+            "n_total": 3,
+            "initially_active": [0, 1, 2],
+            "initial_states": {"type": "explicit",
+                               "values": {"0": 4, "1": 1, "2": 7}},
+            "churn": {"type": "none"},
+            "topology": {
+                "type": "explicit",
+                "transient": [],
+                "stable": [{"nodes": [0, 1, 2],
+                            "edges": [[0, 1], [1, 2], [2, 1]], "p": 1.0}],
+            },
+            "k_prime": 0,
+            "T": 1,
+            "horizon": 30,
+            "seed": 3,
+        })
+        seeded = []
+        real_stream = rng.stream
+
+        def counting_stream(seed, *key):
+            if key[:1] == (rng.TAG_AGENT,):
+                seeded.append(key[1:])
+            return real_stream(seed, *key)
+
+        monkeypatch.setattr(rng, "stream", counting_stream)
+        records = run(scenario)
+        one_token = [r.step for r in records if r.per_node[0].z <= 1]
+        assert one_token, "node 0 never settled at one token"
+        for r in records:
+            assert ((r.step, 0) in seeded) == (r.per_node[0].z > 1)

@@ -362,7 +362,14 @@ GOLDEN = {
                     [{"nodes": [0, 1, 2, 3],
                       "edges": [[0, 1], [1, 2], [2, 0], [0, 3]], "p": 1.0}]),
                 T=1),
-        [late(3), NOT_CONNECTED, stranded(3, 3)],
+        [
+            late(3),
+            NOT_CONNECTED,
+            ("topology-stable-nodes", "error",
+             "stable instances cover [0, 1, 2, 3] but the active set at step 4 is "
+             "[0, 1, 2]"),
+            stranded(3, 3),
+        ],
     ),
     "stranded-departure-stochastic": (
         variant(arrival_states=UNIFORM,

@@ -9,6 +9,7 @@ from openavg.graphs import (
     generate_instance_family,
     is_strongly_connected,
     membership_sets,
+    out_adjacency,
     out_neighbors,
     random_out_degree_instance,
     strongly_connected_components,
@@ -208,3 +209,46 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_instance_family(range(3), count=0, min_out_degree=1,
                                      rng=np.random.default_rng(0))
+
+
+def others_list_instance(nodes, min_out_degree, rng):
+    """Reference: the instance draw that lists every node's other nodes."""
+    ordered = sorted(set(nodes))
+    edges = set()
+    for v in ordered:
+        others = [u for u in ordered if u != v]
+        take = min(min_out_degree, len(others))
+        if take <= 0:
+            continue
+        picks = rng.choice(len(others), size=take, replace=False)
+        for i in picks:
+            edges.add((v, others[int(i)]))
+    return g(ordered, edges)
+
+
+class TestIndexedDraws:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
+    @pytest.mark.parametrize("degree", [1, 2, 3, "n"])
+    def test_instance_matches_others_list_draw(self, n, degree):
+        d = n if degree == "n" else degree
+        nodes = [3 * i + 1 for i in range(n)]  # ids with gaps, passed unsorted
+        for seed in range(5):
+            ref_rng = np.random.default_rng(seed)
+            new_rng = np.random.default_rng(seed)
+            expected = others_list_instance(nodes, d, ref_rng)
+            got = random_out_degree_instance(reversed(nodes), d, new_rng)
+            assert got == expected
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_adjacency_matches_edge_scan(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 30):
+            inst = random_out_degree_instance(range(n), 3, rng)
+            heads = out_adjacency(inst)
+            assert heads.keys() == inst.nodes
+            for v in inst.nodes:
+                assert heads[v] == {b for a, b in inst.edges if a == v}
+                assert out_neighbors(inst, v) == heads[v]
+
+    def test_adjacency_keeps_isolated_nodes(self):
+        assert out_adjacency(g([0, 1, 2], [(0, 1)])) == {0: {1}, 1: set(), 2: set()}

@@ -370,3 +370,42 @@ class TestValidationWarnings:
         report = validate_scenario(parse_scenario(data))
         assert report.ok(strict=False)
         assert not report.ok(strict=True)
+
+
+class TestLateChurnUnderStableTopology:
+    """Churn after k_prime under explicit stable instances: the engine
+    draws a stable instance at every later step, so the validator must
+    compare the stable nodes with the active set at each of them."""
+
+    @staticmethod
+    def late_departure():
+        data = base_dict()
+        data["topology"]["stable"] = [
+            {"nodes": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "p": 1.0}
+        ]
+        data["T"] = 1
+        data["churn"] = {"type": "explicit",
+                         "events": [{"step": 5, "departures": [3]}]}
+        return data
+
+    def test_first_mismatching_step_is_an_error(self):
+        report = validate_scenario(parse_scenario(self.late_departure()))
+        assert [(f.code, f.message) for f in report.errors()] == [
+            ("topology-stable-nodes",
+             "stable instances cover [0, 1, 2, 3] but the active set at step 6 "
+             "is [0, 1, 2]"),
+        ]
+
+    def test_validate_and_run_both_exit_1(self, tmp_path):
+        from openavg import cli
+
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(self.late_departure()))
+        assert cli.main(["validate", str(path), "--strict"]) == 1
+        assert cli.main(["validate", str(path)]) == 1
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_departure_at_the_horizon_is_runnable(self):
+        data = self.late_departure()
+        data["horizon"] = 5
+        assert errors_of(data) == []
