@@ -299,9 +299,12 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         # adjacencies are never held at once (it shows in peak memory).
         del heads
 
+        # Inboxes are in sender order (senders were visited ascending), and
+        # receive only sums integers, so they are delivered as they are.
         for v, outcome in staged.items():
-            delivered = sorted(inbox.get(v, []), key=lambda m: m.sender)
-            states[v] = receive(outcome.state, outcome.kept_y, outcome.kept_z, delivered)
+            states[v] = receive(
+                outcome.state, outcome.kept_y, outcome.kept_z, inbox.get(v, ())
+            )
 
         for v in sorted(membership.arriving):
             if v in states:

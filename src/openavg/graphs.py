@@ -172,23 +172,70 @@ def is_strongly_connected(g: DigraphInstance) -> bool:
     return len(strongly_connected_components(g)) == 1
 
 
+def _tail_shuffled(m: int, take: int) -> bool:
+    """Whether numpy's ``Generator.choice(m, take, replace=False)`` shuffles
+    ``range(m)`` from the tail (True) or runs Floyd's algorithm (False).
+    This and the replay below follow numpy 2.4.6."""
+    return m > 10000 and take > m // 50
+
+
+def _choice_bounds(m: int, take: int) -> list[int]:
+    """Exclusive upper bounds, in order, of the draws numpy's
+    ``Generator.choice(m, take, replace=False)`` makes. A bound of 1
+    consumes no draw, in ``choice`` as in ``integers``."""
+    if _tail_shuffled(m, take):
+        return list(range(m, max(m - take, 1), -1))
+    # Floyd's algorithm, then a shuffle of the ``take`` picks.
+    return [*range(m - take + 1, m + 1), *range(take, 1, -1)]
+
+
+def _choice_picks(m: int, take: int, draws: list[int]) -> list[int]:
+    """The picks, in order, of ``Generator.choice(m, take, replace=False)``
+    whose draws against ``_choice_bounds(m, take)`` were ``draws``."""
+    if _tail_shuffled(m, take):
+        # Position -> value, for the positions of range(m) the swaps moved.
+        moved: dict[int, int] = {}
+        for i, j in zip(range(m - 1, max(m - take, 1) - 1, -1), draws):
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return [moved.get(i, i) for i in range(m - take, m)]
+    picks: list[int] = []
+    seen: set[int] = set()
+    for j, value in zip(range(m - take, m), draws):
+        pick = j if value in seen else value
+        seen.add(pick)
+        picks.append(pick)
+    for i, j in zip(range(take - 1, 0, -1), draws[take:]):
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
 def random_out_degree_instance(
     nodes: Iterable[NodeId], min_out_degree: int, rng: np.random.Generator
 ) -> DigraphInstance:
     """Draw an instance where every node gets ``min_out_degree`` distinct
     out-neighbors chosen uniformly without replacement (capped at n-1).
+
+    Node by node, the picks and the generator state afterwards are those
+    of ``rng.choice(n - 1, size=take, replace=False)`` with ``take`` the
+    capped degree, but all nodes' draws come from one ``rng.integers``
+    call.
     """
     ordered = sorted(set(nodes))
     if not ordered:
         raise ValueError("need at least one node")
-    take = min(min_out_degree, len(ordered) - 1)
+    m = len(ordered) - 1
+    take = min(min_out_degree, m)
     edges: set[tuple[NodeId, NodeId]] = set()
     if take > 0:
+        bounds = _choice_bounds(m, take)
+        width = len(bounds)
+        all_bounds = np.array(bounds * len(ordered), dtype=np.int64)
+        draws = rng.integers(0, all_bounds).tolist()
         for pos, v in enumerate(ordered):
             # Index i draws from the n-1 nodes other than v, in sorted order:
             # those before v keep their index, those after it shift by one.
-            picks = rng.choice(len(ordered) - 1, size=take, replace=False)
-            for i in picks.tolist():
+            start = pos * width
+            for i in _choice_picks(m, take, draws[start:start + width]):
                 edges.add((v, ordered[i if i < pos else i + 1]))
     return DigraphInstance(nodes=frozenset(ordered), edges=frozenset(edges))
 

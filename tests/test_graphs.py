@@ -5,6 +5,8 @@ import pytest
 
 from openavg.graphs import (
     DigraphInstance,
+    _choice_bounds,
+    _choice_picks,
     directed_cycle,
     generate_instance_family,
     is_strongly_connected,
@@ -252,3 +254,24 @@ class TestIndexedDraws:
 
     def test_adjacency_keeps_isolated_nodes(self):
         assert out_adjacency(g([0, 1, 2], [(0, 1)])) == {0: {1}, 1: set(), 2: set()}
+
+
+class TestChoiceReplay:
+    """One node's draws: the bounds and the replay of numpy's index
+    algorithm against ``Generator.choice(m, take, replace=False)``. The
+    sizes cover Floyd's algorithm (m <= 10000 or take <= m // 50) and the
+    tail shuffle (m > 10000 and take > m // 50)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 799, 10000, 10001, 10050, 20000])
+    def test_replay_equals_choice(self, m):
+        takes = sorted({t for t in (1, 2, 3, m // 50, m // 50 + 1, m) if 1 <= t <= m})
+        for take in takes:
+            bounds = np.array(_choice_bounds(m, take), dtype=np.int64)
+            for seed in range(4):
+                ref_rng = np.random.default_rng(seed)
+                new_rng = np.random.default_rng(seed)
+                for _ in range(3):
+                    expected = ref_rng.choice(m, take, replace=False).tolist()
+                    got = _choice_picks(m, take, new_rng.integers(0, bounds).tolist())
+                    assert got == expected, (take, seed)
+                    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
