@@ -8,7 +8,7 @@ any consensus protocol runs on top of them.
 
 import numpy as np
 
-from openavg import (
+from openavg.graphs import (
     directed_cycle,
     generate_instance_family,
     is_strongly_connected,

@@ -10,7 +10,7 @@ every send and receive in the system, is the whole conservation story.
 
 import numpy as np
 
-from openavg import init_active, remaining_step, split_mass
+from openavg.agent import init_active, remaining_step, split_mass
 
 # --- the raw splitting loop ---------------------------------------------
 # Watch (y, z) = (22, 5) fall apart. Each cut takes floor(y/z) of the

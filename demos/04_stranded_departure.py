@@ -31,7 +31,7 @@ print("violations:", records[event_step].violations)
 # Node 3 entered with x=100 but six steps of ring mixing moved mass
 # through it, so what it holds at departure differs from what it brought.
 holder = records[event_step].per_node[3]
-surplus_y = holder.y - 2 * 100
+surplus_y = holder.y - 2 * holder.x
 surplus_z = holder.z - 2
 print(f"\nnode 3 holds (y={holder.y}, z={holder.z}) when it departs")
 print(f"undeliverable surplus: ({surplus_y}, {surplus_z})")

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # only for annotations, engine imports this module at runtime
+    from .agent import AgentState
     from .engine import RoundRecord
 
 
@@ -123,29 +124,24 @@ class AuditRow(NamedTuple):
     z_imbalance: int
 
 
-def conservation_audit(trace: Sequence["RoundRecord"]) -> list[AuditRow]:
-    """Check both conservation identities at every recorded step.
+def mass_offset(states: Iterable[AgentState]) -> tuple[int, int]:
+    """(sum of y - 2x, sum of z - 2) over the given node states.
 
-    The mass values must sum to twice the active nodes' state total and
-    the token counts to twice the active count. The state total is
-    recovered exactly from the recorded average (average times count is
-    an integer by construction). All rows are zero on a healthy run; a
-    stranded departure shows up as a constant nonzero offset from the
-    step after the loss onward.
+    Every node enters with mass (2x, 2), and splits and handoffs only
+    move mass, so both sums are zero unless mass was destroyed.
     """
-    rows: list[AuditRow] = []
-    for record in trace:
-        n = len(record.active)
-        state_total = record.q_true * n
-        if state_total.denominator != 1:
-            raise ValueError(f"step {record.step}: average times count not integral")
-        sum_y = sum(v.y for v in record.per_node.values())
-        sum_z = sum(v.z for v in record.per_node.values())
-        rows.append(
-            AuditRow(
-                step=record.step,
-                y_imbalance=sum_y - 2 * int(state_total),
-                z_imbalance=sum_z - 2 * n,
-            )
-        )
-    return rows
+    y_offset = z_offset = 0
+    for state in states:
+        y_offset += state.y - 2 * state.x
+        z_offset += state.z - 2
+    return y_offset, z_offset
+
+
+def conservation_audit(trace: Sequence["RoundRecord"]) -> list[AuditRow]:
+    """Both conservation identities at every recorded step.
+
+    Each row is the mass offset of the step's start-of-step states. All
+    rows are zero on a healthy run; a stranded departure shows up as a
+    constant nonzero offset from the step after the loss onward.
+    """
+    return [AuditRow(r.step, *mass_offset(r.per_node.values())) for r in trace]

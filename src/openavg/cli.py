@@ -5,8 +5,8 @@ findings, ``run`` simulates one or more seeds and writes traces,
 ``sweep`` runs a block of consecutive seeds and writes a summary table.
 
 Exit codes: 0 success, 1 scenario validation failure, 2 unreadable or
-malformed input, 3 internal invariant breach (a conservation identity
-failed on a run without recorded violations, which means a bug).
+malformed input, 3 internal invariant breach (the engine's conservation
+ledger or another internal check failed, which means a bug).
 """
 
 from __future__ import annotations
@@ -111,29 +111,12 @@ def _summarize(scenario: Scenario, seed: int, records: list[RoundRecord]) -> dic
 
 
 def _checked_run(scenario: Scenario, seed: int) -> list[RoundRecord]:
-    """Records of one seed, with conservation held wherever it must.
-
-    Any recorded violation (a stranded departure) legitimately breaks
-    the identities from that step on, so only violation-free prefixes
-    are held to the exact-zero standard.
-    """
+    """Records of one seed; an engine invariant breach exits with code 3."""
     try:
-        records = run(scenario, seed)
+        return run(scenario, seed)
     except EngineInvariantError as exc:
         print(f"seed {seed}: invariant breach: {exc}", file=sys.stderr)
         raise _Exit(EXIT_INVARIANT) from exc
-    first_violation = next(
-        (r.step for r in records if r.violations), len(records)
-    )
-    for row in conservation_audit(records):
-        if row.step <= first_violation and (row.y_imbalance or row.z_imbalance):
-            print(
-                f"seed {seed}: conservation identity failed on a violation-free "
-                "prefix; this is a bug",
-                file=sys.stderr,
-            )
-            raise _Exit(EXIT_INVARIANT)
-    return records
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -4,11 +4,13 @@ One step k works on the active set V[k]:
 
 1. resolve membership: who remains, arrives, departs at this boundary
 2. draw the directed topology instance for the step
-3. record the start-of-step snapshot (mass, snapshots, estimates)
+3. record every node's state at the start of the step
 4. departing nodes hand their surplus to one remaining out-neighbor
 5. remaining nodes split and route their mass
 6. barrier: every remaining node sums what it kept with what arrived
 7. arrivals activate with fresh state, effective from the next step
+8. ledger: the mass offset of the new states must equal minus the
+   surplus lost to stranded departures so far, or the run stops
 
 Every random draw is keyed by (seed, subsystem, step, node), so the
 iteration order above is a presentation choice, not a semantic one. Two
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import rng
@@ -31,7 +34,7 @@ from .agent import (
     receive,
     remaining_step,
 )
-from .analysis import consensus_error, true_average
+from .analysis import consensus_error, mass_offset, true_average
 from .graphs import (
     DigraphInstance,
     MembershipSets,
@@ -57,16 +60,6 @@ class EngineInvariantError(Exception):
     """Internal consistency breach; indicates a bug, not a bad scenario."""
 
 
-class NodeVars(NamedTuple):
-    """Start-of-step protocol variables of one node."""
-
-    y: int
-    z: int
-    y_s: int
-    z_s: int
-    q_s: int
-
-
 class Violation(NamedTuple):
     node: int
     kind: str
@@ -74,12 +67,16 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Everything observable about one step, captured before processing."""
+    """Everything observable about one step, captured before processing.
+
+    ``per_node`` maps each active node, in id order, to the state it held
+    at the start of the step.
+    """
 
     step: int
     active: frozenset[int]
     membership: MembershipSets
-    per_node: dict[int, NodeVars]
+    per_node: dict[int, AgentState]
     q_true: Fraction
     epsilon: int
     excluded: int
@@ -138,14 +135,16 @@ def draw_topology(
     assert isinstance(topology, ExplicitTopology)
     if step < scenario.k_prime:
         return topology.transient[step].restricted_to(active)
-    u = float(rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).random())
-    cumulative = 0.0
     chosen = topology.stable[-1][0]
-    for instance, p in topology.stable:
-        cumulative += p
-        if u < cumulative:
-            chosen = instance
-            break
+    # A lone stable instance is chosen whatever the draw, so none is made.
+    if len(topology.stable) > 1:
+        u = float(rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).random())
+        cumulative = 0.0
+        for instance, p in topology.stable:
+            cumulative += p
+            if u < cumulative:
+                chosen = instance
+                break
     if chosen.nodes != active:
         raise EngineInvariantError(
             f"step {step}: stable instance covers {sorted(chosen.nodes)} "
@@ -230,6 +229,10 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     Refuses to run scenarios with validation errors; warnings (for
     example a scheduled stranded departure) are allowed because those
     runs are exactly how the failure modes are studied.
+
+    Conservation is checked after every step: the states' mass offset
+    must equal minus the surplus that stranded departures destroyed so
+    far, exactly. Any other offset raises EngineInvariantError.
     """
     report = validate_scenario(scenario)
     if report.errors():
@@ -254,6 +257,9 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         for v in sorted(scenario.initially_active)
     }
     active = frozenset(scenario.initially_active)
+    # Start-of-step states of the stranded departers: their surplus
+    # (y - 2x, z - 2) was destroyed, so it is the ledger's expected loss.
+    stranded: list[AgentState] = []
 
     records: list[RoundRecord] = []
     for k in range(scenario.horizon + 1):
@@ -263,12 +269,9 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         membership = membership_sets(active, (active - departures) | arrivals)
         instance = draw_topology(scenario, k, active, seed, cache)
 
-        snapshot = {
-            v: NodeVars(st.y, st.z, st.y_s, st.z_s, st.q_s)
-            for v, st in sorted(states.items())
-        }
-        average = true_average({v: states[v].x for v in active})
-        error = consensus_error({v: (states[v].y, states[v].z) for v in active}, average)
+        per_node = dict(sorted(states.items()))
+        average = true_average({v: st.x for v, st in per_node.items()})
+        error = consensus_error({v: (st.y, st.z) for v, st in per_node.items()}, average)
 
         violations: list[Violation] = []
         inbox: dict[int, list[MassMessage]] = {}
@@ -285,11 +288,10 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
             outcome = send(states[v], v, targets, k, rng.LazyStream(seed, rng.TAG_AGENT, k, v))
             if outcome.stranded:
                 violations.append(Violation(node=v, kind="stranded_departure"))
+                stranded.append(states[v])
+            # Mass addressed to a node that is not staged is never
+            # delivered; the ledger below catches the loss.
             for message in outcome.messages:
-                if message.receiver not in membership.remaining:
-                    raise EngineInvariantError(
-                        f"step {k}: message to non-remaining node {message.receiver}"
-                    )
                 inbox.setdefault(message.receiver, []).append(message)
             if departs:
                 del states[v]
@@ -314,12 +316,19 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
             )
             states[v] = init_active(value)
 
+        offset = mass_offset(chain(states.values(), stranded))
+        if offset != (0, 0):
+            raise EngineInvariantError(
+                f"step {k}: conservation failed: mass offset {offset} "
+                "beyond what stranded departures lost"
+            )
+
         records.append(
             RoundRecord(
                 step=k,
                 active=active,
                 membership=membership,
-                per_node=snapshot,
+                per_node=per_node,
                 q_true=average,
                 epsilon=error.value,
                 excluded=error.excluded,

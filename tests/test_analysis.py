@@ -10,18 +10,20 @@ from openavg.analysis import (
     convergence_time,
     true_average,
 )
-from openavg.engine import NodeVars, RoundRecord
+from openavg.agent import AgentState
+from openavg.engine import RoundRecord
 from openavg.graphs import membership_sets
 
 
-def rec(step, per_node, q, epsilon=0):
-    """Minimal record; per_node maps node -> (y, z, y_s, z_s, q_s)."""
+def rec(step, per_node, q, epsilon=0, x=0):
+    """Minimal record; per_node maps node -> (y, z, y_s, z_s, q_s), and
+    every node declared the state value ``x``."""
     active = frozenset(per_node)
     return RoundRecord(
         step=step,
         active=active,
         membership=membership_sets(active, active),
-        per_node={v: NodeVars(*t) for v, t in per_node.items()},
+        per_node={v: AgentState(x, *t) for v, t in per_node.items()},
         q_true=q,
         epsilon=epsilon,
         excluded=0,
@@ -149,20 +151,15 @@ class TestConservationAudit:
         # two nodes, x sums to 4, so y must total 8 and z must total 4
         q = Fraction(2)
         trace = [
-            rec(0, {0: (6, 2, 0, 0, 0), 1: (2, 2, 0, 0, 0)}, q),
-            rec(1, {0: (5, 1, 0, 0, 0), 1: (3, 3, 0, 0, 0)}, q),
+            rec(0, {0: (6, 2, 0, 0, 0), 1: (2, 2, 0, 0, 0)}, q, x=2),
+            rec(1, {0: (5, 1, 0, 0, 0), 1: (3, 3, 0, 0, 0)}, q, x=2),
         ]
         rows = conservation_audit(trace)
         assert all(r.y_imbalance == 0 and r.z_imbalance == 0 for r in rows)
 
     def test_losses_show_up_signed(self):
         q = Fraction(2)
-        trace = [rec(0, {0: (5, 1, 0, 0, 0), 1: (2, 2, 0, 0, 0)}, q)]
+        trace = [rec(0, {0: (5, 1, 0, 0, 0), 1: (2, 2, 0, 0, 0)}, q, x=2)]
         (row,) = conservation_audit(trace)
         assert row.y_imbalance == -1
         assert row.z_imbalance == -1
-
-    def test_non_integral_state_total_rejected(self):
-        trace = [rec(0, {0: (1, 1, 0, 0, 0), 1: (1, 1, 0, 0, 0)}, Fraction(3, 4))]
-        with pytest.raises(ValueError):
-            conservation_audit(trace)

@@ -4,13 +4,10 @@ import csv
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 import openavg.cli as cli
-from openavg.engine import NodeVars, RoundRecord
-from openavg.graphs import membership_sets
 
 
 def invoke(*argv):
@@ -91,26 +88,28 @@ class TestRunCommand:
         assert invoke("run", str(tmp_path / "ghost.json")) == 2
 
     def test_conservation_breach_exits_three(
-        self, scenarios_dir, tmp_path, monkeypatch, capsys
+        self, scenarios_dir, tmp_path, capsys, drop_token
     ):
         # a run that silently lost mass without a recorded violation is a
         # bug and must be loud, not a normal trace
-        active = frozenset({0, 1, 2, 3})
-        broken = RoundRecord(
-            step=0,
-            active=active,
-            membership=membership_sets(active, active),
-            per_node={v: NodeVars(1, 1, 1, 1, 1) for v in active},
-            q_true=Fraction(11, 4),
-            epsilon=0,
-            excluded=0,
-            violations=(),
-        )
-        monkeypatch.setattr(cli, "run", lambda scenario, seed: [broken])
+        dropped = drop_token(3)
         code = invoke(
             "run", str(scenarios_dir / "static_small.json"), "--out", str(tmp_path)
         )
         assert code == 3
+        assert dropped
+        assert "conservation" in capsys.readouterr().err
+
+    def test_breach_after_stranded_departure_exits_three(
+        self, scenarios_dir, tmp_path, capsys, drop_token
+    ):
+        # node 3 strands its surplus at step 6; a later loss is still a bug
+        dropped = drop_token(7)
+        code = invoke(
+            "run", str(scenarios_dir / "theorem1_violation.json"), "--out", str(tmp_path)
+        )
+        assert code == 3
+        assert dropped
         assert "conservation" in capsys.readouterr().err
 
 

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from openavg import rng
+from openavg.agent import AgentState
 from openavg.analysis import conservation_audit
 from openavg.engine import (
     EngineInvariantError,
-    NodeVars,
     _FamilyCache,
     _nth_inactive,
     draw_topology,
@@ -138,7 +138,7 @@ class TestArrivals:
     def test_arrival_effective_next_step(self):
         records = run(arrival_fixture())
         assert 2 not in records[1].per_node
-        assert records[2].per_node[2] == NodeVars(y=18, z=2, y_s=18, z_s=2, q_s=9)
+        assert records[2].per_node[2] == AgentState(x=9, y=18, z=2, y_s=18, z_s=2, q_s=9)
         assert records[2].active == {0, 1, 2}
 
     def test_average_tracks_the_new_member(self):
@@ -200,6 +200,25 @@ class TestStrandedDeparture:
         assert conservation_audit(records)[-1].y_imbalance == -lost_y
 
 
+class TestConservationLedger:
+    def test_dropped_token_stops_the_run_at_its_step(self, drop_token):
+        dropped = drop_token(5)
+        with pytest.raises(EngineInvariantError, match="conservation") as caught:
+            run(mini_stochastic(), 1)
+        (step,) = dropped
+        assert str(caught.value).startswith(f"step {step}: ")
+        assert "(0, -1)" in str(caught.value)
+
+    def test_dropped_token_after_a_stranded_departure(self, scenarios_dir, drop_token):
+        # node 3 strands its surplus at step 6; the ledger still checks on
+        scenario = load_scenario(scenarios_dir / "theorem1_violation.json")
+        dropped = drop_token(7)
+        with pytest.raises(EngineInvariantError, match="conservation") as caught:
+            run(scenario)
+        (step,) = dropped
+        assert str(caught.value).startswith(f"step {step}: ")
+
+
 class TestDrawTopology:
     def test_transient_restriction_keeps_active_isolated(self):
         scenario = arrival_fixture()
@@ -232,6 +251,21 @@ class TestDrawTopology:
         for step in (0, 3, 11):
             draw_topology(scenario, step, active, 9, cache)
         assert draw_topology(scenario, 7, active, 9, cache) == first
+
+    def test_lone_stable_instance_draws_no_stream(self, scenarios_dir, monkeypatch):
+        scenario = load_scenario(scenarios_dir / "theorem1_violation.json")
+        drawn = []
+        real_stream = rng.stream
+
+        def counting_stream(seed, *key):
+            if key[:1] == (rng.TAG_TOPOLOGY_DRAW,):
+                drawn.append(key[1])
+            return real_stream(seed, *key)
+
+        monkeypatch.setattr(rng, "stream", counting_stream)
+        records = run(scenario)
+        assert len(records) == scenario.horizon + 1
+        assert [k for k in drawn if k >= scenario.k_prime] == []
 
     def test_runtime_mismatch_after_stochastic_churn(self):
         # explicit stable instances cannot anticipate stochastic departures
