@@ -10,7 +10,7 @@ every send and receive in the system, is the whole conservation story.
 
 import numpy as np
 
-from openavg.agent import init_active, remaining_step, split_mass
+from openavg.agent import init_active, receive, remaining_step, split_mass
 
 # --- the raw splitting loop ---------------------------------------------
 # Watch (y, z) = (22, 5) fall apart. Each cut takes floor(y/z) of the
@@ -33,17 +33,24 @@ print("token values    ", split.token_values(), "sum", sum(split.token_values())
 # --- a full protocol step ------------------------------------------------
 # remaining_step() wraps the loop for an active node: it snapshots the
 # holding (that snapshot is what the public estimate quantizes), routes
-# pieces to sorted targets with itself as the final candidate, and
-# coalesces per receiver.
+# pieces to sorted targets with itself as the final candidate, and adds
+# every piece to its receiver's cell, an integer (y, z) sum for the step.
+# What the node keeps goes into its own cell the same way. At the
+# barrier, receive() makes each cell the node's new holding.
 
 state = init_active(7)  # x=7 enters as mass (14, 2)
 print("\nfresh agent     y,z =", (state.y, state.z), " estimate =", state.q_s)
 
-outcome = remaining_step(state, node=1, targets={2, 3}, step=0,
-                         rng=np.random.default_rng(12))
-print("kept            ", (outcome.kept_y, outcome.kept_z))
-for message in outcome.messages:
-    print(f"message to {message.receiver}:  (c_y={message.c_y}, c_z={message.c_z})")
-total_y = outcome.kept_y + sum(m.c_y for m in outcome.messages)
-total_z = outcome.kept_z + sum(m.c_z for m in outcome.messages)
+cells = {v: [0, 0] for v in (1, 2, 3)}
+snapshot = remaining_step(state, node=1, targets={2, 3},
+                          rng=np.random.default_rng(12), cells=cells)
+for v, (y, z) in cells.items():
+    role = "kept by 1" if v == 1 else f"sent to {v}"
+    print(f"cell of {v} ({role}):  (y={y}, z={z})")
+total_y = sum(y for y, _ in cells.values())
+total_z = sum(z for _, z in cells.values())
 print("totals check    ", (total_y, total_z), "== (14, 2)")
+# Only node 1 sent this step, so its cell holds just what it kept.
+after = receive(snapshot, cells[1])
+print("node 1 after the barrier  y,z =", (after.y, after.z),
+      " estimate =", after.q_s)

@@ -3,11 +3,13 @@
 Each active agent holds a mass pair: ``y`` is an integer sum of state
 contributions, ``z`` counts the unit tokens backing it. The agent's
 public estimate is the floored ratio of its last snapshot of that pair.
-At every step an agent splits its mass into single-token pieces, routes
-each piece to a uniformly chosen candidate (an out-neighbor or itself),
-and the per-step totals are exchanged in one synchronous barrier. Sums
-of ``y`` and of ``z`` over the network are conserved exactly, which is
-what lets everyone converge to the quantized network average.
+At every step an agent splits its mass into single-token pieces and
+routes each piece to a uniformly chosen candidate (an out-neighbor or
+itself). Every piece, and the piece it keeps, is added into the
+receiver's cell: one integer (y, z) sum per remaining node for the step.
+At the synchronous barrier each remaining node's new holding is its
+cell. Sums of ``y`` and of ``z`` over the network are conserved exactly,
+which is what lets everyone converge to the quantized network average.
 
 All mass arithmetic is plain Python integers. Floor division ``//``
 rounds toward minus infinity, which is the required quantizer for
@@ -17,7 +19,10 @@ negative values; do not "optimize" it to C-style truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import AbstractSet, MutableMapping, NamedTuple, Protocol
+
+# Per-receiver [y, z] sums of one step, one cell per remaining node.
+Cells = MutableMapping[int, list[int]]
 
 
 class IntegerDraws(Protocol):
@@ -44,35 +49,14 @@ class AgentState:
     y_s: int
     z_s: int
     q_s: int
-    active: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class MassMessage:
-    """One coalesced mass transfer for one step. c_z >= 1 always."""
+class Surplus(NamedTuple):
+    """What a departer handed off: (y - 2x, z - 2), lost when stranded."""
 
-    sender: int
-    receiver: int
-    c_y: int
-    c_z: int
-    step: int
-
-
-@dataclass(frozen=True, slots=True)
-class StepOutcome:
-    """Result of one agent's send phase.
-
-    ``kept_y``/``kept_z`` is the self-directed accumulator; it bypasses
-    the message fabric but enters the same receive-time sum. ``stranded``
-    marks a departure that found no remaining out-neighbor and therefore
-    destroyed its handoff mass.
-    """
-
-    state: AgentState
-    messages: tuple[MassMessage, ...]
-    kept_y: int
-    kept_z: int
-    stranded: bool = False
+    y: int
+    z: int
+    stranded: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,111 +114,76 @@ def init_active(x: int) -> AgentState:
     return AgentState(x=x, y=2 * x, z=2, y_s=2 * x, z_s=2, q_s=x)
 
 
-def quantized_estimate(state: AgentState) -> int:
-    """Public estimate: floor(y_s / z_s), or the frozen one when z_s < 1."""
-    if state.z_s >= 1:
-        return state.y_s // state.z_s
-    return state.q_s
-
-
 def remaining_step(
     state: AgentState,
     node: int,
-    targets: Iterable[int],
-    step: int,
+    targets: AbstractSet[int],
     rng: IntegerDraws,
-) -> StepOutcome:
+    cells: Cells,
+) -> AgentState:
     """Send phase for a node that stays active through this step.
 
     Snapshots (y, z) into (y_s, z_s), refreshes q_s when at least one
     token is present, then splits the mass over the candidate list
     ``sorted(targets) + [self]`` with every candidate equally likely per
-    token. Pieces are coalesced per receiver; a message is emitted only
-    when its token count is at least 1. The returned state carries
-    y = z = 0 because the whole holding is in flight until receive().
+    token. Each routed piece adds its value and one token to its
+    receiver's cell; the residual piece and the pieces drawn for self
+    are added to the node's own cell, since keeping mass is a delivery
+    to self. The returned state carries y = z = 0 because the whole
+    holding is in flight until receive().
     """
-    if not state.active:
-        raise ValueError(f"node {node} is inactive")
-    y_snapshot, z_snapshot = state.y, state.z
-    q = y_snapshot // z_snapshot if z_snapshot >= 1 else state.q_s
-
-    order = sorted(set(targets))
-    if node in order:
+    if node in targets:
         raise ValueError("self must not appear among targets")
-    self_index = len(order)
-    split = split_mass(state.y, state.z, self_index + 1, rng)
-
-    kept_y, kept_z = split.residual_y, split.residual_z
-    accum: dict[int, list[int]] = {}
+    own = cells[node]
+    candidates = [cells[t] for t in sorted(targets)]
+    candidates.append(own)
+    split = split_mass(state.y, state.z, len(candidates), rng)
+    own[0] += split.residual_y
+    own[1] += split.residual_z
     for idx, value in split.routed:
-        if idx == self_index:
-            kept_y += value
-            kept_z += 1
-        else:
-            cell = accum.setdefault(order[idx], [0, 0])
-            cell[0] += value
-            cell[1] += 1
-
-    messages = tuple(
-        MassMessage(sender=node, receiver=t, c_y=accum[t][0], c_z=accum[t][1], step=step)
-        for t in order
-        if t in accum and accum[t][1] >= 1
-    )
-    new_state = AgentState(
-        x=state.x, y=0, z=0, y_s=y_snapshot, z_s=z_snapshot, q_s=q
-    )
-    return StepOutcome(state=new_state, messages=messages, kept_y=kept_y, kept_z=kept_z)
+        cell = candidates[idx]
+        cell[0] += value
+        cell[1] += 1
+    q = state.y // state.z if state.z >= 1 else state.q_s
+    return AgentState(x=state.x, y=0, z=0, y_s=state.y, z_s=state.z, q_s=q)
 
 
 def depart_step(
     state: AgentState,
     node: int,
-    targets: Iterable[int],
-    step: int,
+    targets: AbstractSet[int],
     rng: IntegerDraws,
-) -> StepOutcome:
+    cells: Cells,
+) -> Surplus:
     """Send phase for a node leaving the network after this step.
 
-    The departer keeps its own original contribution (2x, 2) and hands
-    the surplus (y - 2x, z - 2) to one remaining out-neighbor chosen
-    uniformly. Without any remaining out-neighbor the surplus cannot be
-    delivered: the outcome is flagged stranded and the mass is lost,
+    The departer keeps its own original contribution (2x, 2) and adds
+    the surplus (y - 2x, z - 2) to the cell of one remaining out-neighbor
+    chosen uniformly. Without any remaining out-neighbor the surplus
+    cannot be delivered: it is returned flagged stranded and is lost,
     which is exactly the failure mode the departure condition rules out.
     """
-    if not state.active:
-        raise ValueError(f"node {node} is inactive")
-    gone = AgentState(x=state.x, y=0, z=0, y_s=0, z_s=0, q_s=0, active=False)
-
-    order = sorted(set(targets))
-    if node in order:
+    if node in targets:
         raise ValueError("self must not appear among targets")
-    if not order:
-        return StepOutcome(state=gone, messages=(), kept_y=0, kept_z=0, stranded=True)
-
-    pick = order[int(rng.integers(0, len(order)))]
     surplus_y = state.y - 2 * state.x
     surplus_z = state.z - 2
-    message = MassMessage(
-        sender=node, receiver=pick, c_y=surplus_y, c_z=surplus_z, step=step
-    )
-    return StepOutcome(state=gone, messages=(message,), kept_y=0, kept_z=0)
+    if not targets:
+        return Surplus(surplus_y, surplus_z, stranded=True)
+    order = sorted(targets)
+    cell = cells[order[int(rng.integers(0, len(order)))]]
+    cell[0] += surplus_y
+    cell[1] += surplus_z
+    return Surplus(surplus_y, surplus_z, stranded=False)
 
 
-def receive(
-    state: AgentState, kept_y: int, kept_z: int, inbound: Iterable[MassMessage]
-) -> AgentState:
-    """Barrier delivery: new holding is the kept pair plus all inbound.
+def receive(state: AgentState, cell: list[int]) -> AgentState:
+    """Barrier delivery: the new holding is the node's cell, the sum of
+    what it kept and everything routed or handed off to it this step.
 
-    Every delivered message counts with weight 1. Surplus handoffs from
-    departers may carry c_z == 0 or negative c_y; they are summed the
-    same way.
+    Surplus handoffs from departers may carry zero tokens or a negative
+    value; they were summed into the cell the same way.
     """
-    y = kept_y
-    z = kept_z
-    for message in inbound:
-        y += message.c_y
-        z += message.c_z
+    y, z = cell
     return AgentState(
-        x=state.x, y=y, z=z, y_s=state.y_s, z_s=state.z_s, q_s=state.q_s,
-        active=state.active,
+        x=state.x, y=y, z=z, y_s=state.y_s, z_s=state.z_s, q_s=state.q_s
     )

@@ -19,11 +19,11 @@ if TYPE_CHECKING:  # only for annotations, engine imports this module at runtime
     from .engine import RoundRecord
 
 
-def true_average(states: Mapping[int, int]) -> Fraction:
-    """Exact average of the active nodes' declared state values."""
+def true_average(states: Mapping[int, AgentState]) -> Fraction:
+    """Exact average of the active nodes' declared state values x."""
     if not states:
         raise ValueError("no active nodes, the average is undefined")
-    return Fraction(sum(states.values()), len(states))
+    return Fraction(sum(state.x for state in states.values()), len(states))
 
 
 class ErrorValue(NamedTuple):
@@ -33,7 +33,7 @@ class ErrorValue(NamedTuple):
     excluded: int
 
 
-def consensus_error(mass: Mapping[int, tuple[int, int]], average: Fraction) -> ErrorValue:
+def consensus_error(states: Mapping[int, AgentState], average: Fraction) -> ErrorValue:
     """Distance of the network's mass ratios from the true average.
 
     For each node with a positive token count the ratio y/z is compared
@@ -47,13 +47,13 @@ def consensus_error(mass: Mapping[int, tuple[int, int]], average: Fraction) -> E
     floor_avg = math.floor(average)
     total = 0
     excluded = 0
-    for y, z in mass.values():
+    for state in states.values():
+        y, z = state.y, state.z
         if z <= 0:
             excluded += 1
             continue
-        ratio = Fraction(y, z)
-        high = math.ceil(ratio)
-        low = math.floor(ratio)
+        high = -(-y // z)  # ceil(y / z)
+        low = y // z  # floor(y / z)
         if high > ceil_avg:
             total += high - ceil_avg
         if low < floor_avg:

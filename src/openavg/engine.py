@@ -5,12 +5,15 @@ One step k works on the active set V[k]:
 1. resolve membership: who remains, arrives, departs at this boundary
 2. draw the directed topology instance for the step
 3. record every node's state at the start of the step
-4. departing nodes hand their surplus to one remaining out-neighbor
-5. remaining nodes split and route their mass
-6. barrier: every remaining node sums what it kept with what arrived
+4. departing nodes add their surplus to the cell of one remaining
+   out-neighbor; a departer with none strands it, and the loss is kept
+5. remaining nodes split their mass and add every piece, the kept ones
+   included, to the receivers' cells: one integer (y, z) sum per
+   remaining node
+6. barrier: every remaining node's new holding is its cell
 7. arrivals activate with fresh state, effective from the next step
 8. ledger: the mass offset of the new states must equal minus the
-   surplus lost to stranded departures so far, or the run stops
+   running surplus lost to stranded departures, or the run stops
 
 Every random draw is keyed by (seed, subsystem, step, node), so the
 iteration order above is a presentation choice, not a semantic one. Two
@@ -21,19 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from . import rng
-from .agent import (
-    AgentState,
-    MassMessage,
-    StepOutcome,
-    depart_step,
-    init_active,
-    receive,
-    remaining_step,
-)
+from .agent import AgentState, depart_step, init_active, receive, remaining_step
 from .analysis import consensus_error, mass_offset, true_average
 from .graphs import (
     DigraphInstance,
@@ -61,8 +55,12 @@ class EngineInvariantError(Exception):
 
 
 class Violation(NamedTuple):
+    """A node the protocol failed at one step, and the (y, z) it lost."""
+
     node: int
     kind: str
+    lost_y: int
+    lost_z: int
 
 
 @dataclass(frozen=True)
@@ -257,9 +255,8 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         for v in sorted(scenario.initially_active)
     }
     active = frozenset(scenario.initially_active)
-    # Start-of-step states of the stranded departers: their surplus
-    # (y - 2x, z - 2) was destroyed, so it is the ledger's expected loss.
-    stranded: list[AgentState] = []
+    # Surplus (y - 2x, z - 2) destroyed by stranded departures so far.
+    lost_y = lost_z = 0
 
     records: list[RoundRecord] = []
     for k in range(scenario.horizon + 1):
@@ -270,43 +267,36 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         instance = draw_topology(scenario, k, active, seed, cache)
 
         per_node = dict(sorted(states.items()))
-        average = true_average({v: st.x for v, st in per_node.items()})
-        error = consensus_error({v: (st.y, st.z) for v, st in per_node.items()}, average)
+        average = true_average(per_node)
+        error = consensus_error(per_node, average)
 
         violations: list[Violation] = []
-        inbox: dict[int, list[MassMessage]] = {}
-        staged: dict[int, StepOutcome] = {}
+        cells = {v: [0, 0] for v in membership.remaining}
 
         # Departers hand off and leave; remaining nodes split and route.
-        # A node's agent stream is seeded only if it draws: one holding
-        # z <= 1 tokens splits nothing.
+        # Cells only sum integers, so the ascending order matters only to
+        # the order of the violations. A node's agent stream is seeded
+        # only if it draws: one holding z <= 1 tokens splits nothing.
         heads = out_adjacency(instance)
         for v in sorted(active):
-            departs = v in membership.departing
-            send = depart_step if departs else remaining_step
             targets = heads[v] & membership.remaining
-            outcome = send(states[v], v, targets, k, rng.LazyStream(seed, rng.TAG_AGENT, k, v))
-            if outcome.stranded:
-                violations.append(Violation(node=v, kind="stranded_departure"))
-                stranded.append(states[v])
-            # Mass addressed to a node that is not staged is never
-            # delivered; the ledger below catches the loss.
-            for message in outcome.messages:
-                inbox.setdefault(message.receiver, []).append(message)
-            if departs:
-                del states[v]
+            draws = rng.LazyStream(seed, rng.TAG_AGENT, k, v)
+            if v in membership.departing:
+                surplus = depart_step(states.pop(v), v, targets, draws, cells)
+                if surplus.stranded:
+                    violations.append(
+                        Violation(v, "stranded_departure", surplus.y, surplus.z)
+                    )
+                    lost_y += surplus.y
+                    lost_z += surplus.z
             else:
-                staged[v] = outcome
+                states[v] = remaining_step(states[v], v, targets, draws, cells)
         # Freed before the next step builds its own, so that two steps'
         # adjacencies are never held at once (it shows in peak memory).
         del heads
 
-        # Inboxes are in sender order (senders were visited ascending), and
-        # receive only sums integers, so they are delivered as they are.
-        for v, outcome in staged.items():
-            states[v] = receive(
-                outcome.state, outcome.kept_y, outcome.kept_z, inbox.get(v, ())
-            )
+        for v, cell in cells.items():
+            states[v] = receive(states[v], cell)
 
         for v in sorted(membership.arriving):
             if v in states:
@@ -316,7 +306,8 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
             )
             states[v] = init_active(value)
 
-        offset = mass_offset(chain(states.values(), stranded))
+        y_offset, z_offset = mass_offset(states.values())
+        offset = (y_offset + lost_y, z_offset + lost_z)
         if offset != (0, 0):
             raise EngineInvariantError(
                 f"step {k}: conservation failed: mass offset {offset} "

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from openavg.agent import (
     AgentState,
-    MassMessage,
+    Surplus,
     depart_step,
     init_active,
-    quantized_estimate,
     receive,
     remaining_step,
     split_mass,
@@ -35,8 +34,13 @@ class ScriptedRng:
         return pick
 
 
-def state(x=0, y=0, z=0, y_s=0, z_s=0, q_s=0, active=True):
-    return AgentState(x=x, y=y, z=z, y_s=y_s, z_s=z_s, q_s=q_s, active=active)
+def state(x=0, y=0, z=0, y_s=0, z_s=0, q_s=0):
+    return AgentState(x=x, y=y, z=z, y_s=y_s, z_s=z_s, q_s=q_s)
+
+
+def cells_for(*nodes):
+    """Empty per-receiver [y, z] sums for one step."""
+    return {v: [0, 0] for v in nodes}
 
 
 class TestInitialization:
@@ -44,16 +48,6 @@ class TestInitialization:
         s = init_active(5)
         assert (s.x, s.y, s.z) == (5, 10, 2)
         assert (s.y_s, s.z_s, s.q_s) == (10, 2, 5)
-        assert s.active
-
-
-class TestQuantizedEstimate:
-    def test_floor_toward_minus_infinity(self):
-        assert quantized_estimate(state(y_s=-7, z_s=2)) == -4
-        assert quantized_estimate(state(y_s=7, z_s=2)) == 3
-
-    def test_frozen_without_tokens(self):
-        assert quantized_estimate(state(y_s=9, z_s=0, q_s=77)) == 77
 
 
 class TestSplitMass:
@@ -108,42 +102,44 @@ class TestSplitMass:
 class TestRemainingStep:
     def test_no_targets_keeps_everything(self):
         before = state(x=1, y=7, z=3)
-        out = remaining_step(before, 0, set(), 4, ScriptedRng([0, 0]))
-        assert out.messages == ()
-        assert (out.kept_y, out.kept_z) == (7, 3)
-        assert (out.state.y, out.state.z) == (0, 0)
-        assert (out.state.y_s, out.state.z_s, out.state.q_s) == (7, 3, 2)
+        cells = cells_for(0)
+        out = remaining_step(before, 0, set(), ScriptedRng([0, 0]), cells)
+        assert cells == {0: [7, 3]}
+        assert (out.y, out.z) == (0, 0)
+        assert (out.y_s, out.z_s, out.q_s) == (7, 3, 2)
 
     def test_routing_coalesces_per_receiver(self):
         before = state(x=2, y=10, z=4)
-        out = remaining_step(before, 1, {20, 10}, 9, ScriptedRng([0, 1, 0]))
-        assert out.messages == (
-            MassMessage(sender=1, receiver=10, c_y=5, c_z=2, step=9),
-            MassMessage(sender=1, receiver=20, c_y=2, c_z=1, step=9),
-        )
-        assert (out.kept_y, out.kept_z) == (3, 1)
+        cells = cells_for(1, 10, 20)
+        remaining_step(before, 1, {20, 10}, ScriptedRng([0, 1, 0]), cells)
+        assert cells == {1: [3, 1], 10: [5, 2], 20: [2, 1]}
 
     def test_self_draw_index_is_last(self):
         # one target, two candidates; pick index 1 = self every time
         before = state(y=6, z=3)
-        out = remaining_step(before, 5, {8}, 0, ScriptedRng([1, 1]))
-        assert out.messages == ()
-        assert (out.kept_y, out.kept_z) == (6, 3)
+        cells = cells_for(5, 8)
+        remaining_step(before, 5, {8}, ScriptedRng([1, 1]), cells)
+        assert cells == {5: [6, 3], 8: [0, 0]}
+
+    def test_estimate_floors_toward_minus_infinity(self):
+        out = remaining_step(state(y=-7, z=2), 0, set(), ScriptedRng([0]), cells_for(0))
+        assert out.q_s == -4
+        out = remaining_step(state(y=7, z=2), 0, set(), ScriptedRng([0]), cells_for(0))
+        assert out.q_s == 3
 
     def test_estimate_frozen_when_no_tokens(self):
         before = state(y=5, z=0, q_s=77)
-        out = remaining_step(before, 0, set(), 0, ScriptedRng([]))
-        assert out.state.q_s == 77
-        assert (out.state.y_s, out.state.z_s) == (5, 0)
-        assert (out.kept_y, out.kept_z) == (5, 0)
-
-    def test_rejects_inactive(self):
-        with pytest.raises(ValueError):
-            remaining_step(state(active=False), 0, set(), 0, ScriptedRng([]))
+        cells = cells_for(0)
+        out = remaining_step(before, 0, set(), ScriptedRng([]), cells)
+        assert out.q_s == 77
+        assert (out.y_s, out.z_s) == (5, 0)
+        assert cells == {0: [5, 0]}
+        out = remaining_step(state(y=9, z=-2, q_s=77), 0, set(), ScriptedRng([]), cells_for(0))
+        assert out.q_s == 77
 
     def test_rejects_self_target(self):
         with pytest.raises(ValueError):
-            remaining_step(state(y=1, z=1), 3, {3}, 0, ScriptedRng([]))
+            remaining_step(state(y=1, z=1), 3, {3}, ScriptedRng([]), cells_for(3))
 
     @settings(max_examples=200)
     @given(
@@ -153,49 +149,47 @@ class TestRemainingStep:
     )
     def test_outcome_conserves_mass(self, y, z, seed):
         before = state(x=1, y=y, z=z)
-        out = remaining_step(before, 0, {1, 2, 3}, 0, np.random.default_rng(seed))
-        sent_y = sum(m.c_y for m in out.messages)
-        sent_z = sum(m.c_z for m in out.messages)
-        assert out.kept_y + sent_y == y
-        assert out.kept_z + sent_z == z
-        assert all(m.c_z >= 1 for m in out.messages)
-        assert all(m.receiver in {1, 2, 3} for m in out.messages)
+        cells = cells_for(0, 1, 2, 3)
+        remaining_step(before, 0, {1, 2, 3}, np.random.default_rng(seed), cells)
+        assert sum(c[0] for c in cells.values()) == y
+        assert sum(c[1] for c in cells.values()) == z
+        assert set(cells) == {0, 1, 2, 3}
+        # a receiver's sum is made of whole tokens: no token, no value
+        assert all(c[1] >= 1 or c == [0, 0] for v, c in cells.items() if v != 0)
 
 
 class TestDepartStep:
     def test_hands_over_surplus(self):
         before = state(x=5, y=12, z=2)
-        out = depart_step(before, 4, {9}, 3, ScriptedRng([0]))
-        assert out.messages == (
-            MassMessage(sender=4, receiver=9, c_y=2, c_z=0, step=3),
-        )
+        cells = cells_for(9)
+        out = depart_step(before, 4, {9}, ScriptedRng([0]), cells)
+        assert cells == {9: [2, 0]}
+        assert out == Surplus(2, 0, stranded=False)
         assert not out.stranded
-        assert not out.state.active
-        assert (out.state.y, out.state.z) == (0, 0)
-        assert (out.kept_y, out.kept_z) == (0, 0)
 
     def test_untouched_agent_hands_over_nothing(self):
         # mass still at its initial (2x, 2): the surplus is exactly zero,
-        # and the zero-valued handoff is still transmitted
-        out = depart_step(init_active(3), 0, {1}, 0, ScriptedRng([0]))
-        assert out.messages[0].c_y == 0
-        assert out.messages[0].c_z == 0
+        # and the zero-valued handoff still draws its receiver
+        draws = ScriptedRng([0])
+        cells = cells_for(1)
+        out = depart_step(init_active(3), 0, {1}, draws, cells)
+        assert (out.y, out.z) == (0, 0)
+        assert cells == {1: [0, 0]}
+        assert draws._picks == []
 
     def test_uniform_pick_indexes_sorted_targets(self):
         before = state(x=0, y=5, z=3)
-        out = depart_step(before, 0, {7, 2, 9}, 0, ScriptedRng([2]))
-        assert out.messages[0].receiver == 9
+        cells = cells_for(2, 7, 9)
+        depart_step(before, 0, {7, 2, 9}, ScriptedRng([2]), cells)
+        assert cells == {2: [0, 0], 7: [0, 0], 9: [5, 1]}
 
     def test_stranded_without_targets(self):
         before = state(x=5, y=12, z=2)
-        out = depart_step(before, 4, set(), 3, ScriptedRng([]))
+        cells = cells_for(7)
+        out = depart_step(before, 4, set(), ScriptedRng([]), cells)
         assert out.stranded
-        assert out.messages == ()
-        assert not out.state.active
-
-    def test_rejects_inactive(self):
-        with pytest.raises(ValueError):
-            depart_step(state(active=False), 0, {1}, 0, ScriptedRng([]))
+        assert (out.y, out.z) == (2, 0)
+        assert cells == {7: [0, 0]}
 
     @given(
         x=st.integers(-100, 100),
@@ -205,27 +199,31 @@ class TestDepartStep:
     )
     def test_surplus_is_everything_but_own_share(self, x, y, z, seed):
         before = state(x=x, y=y, z=z)
-        out = depart_step(before, 0, {1, 2}, 0, np.random.default_rng(seed))
-        (message,) = out.messages
-        assert message.c_y == y - 2 * x
-        assert message.c_z == z - 2
+        cells = cells_for(1, 2)
+        out = depart_step(before, 0, {1, 2}, np.random.default_rng(seed), cells)
+        assert (out.y, out.z) == (y - 2 * x, z - 2)
+        assert sorted(cells.values()) == sorted([[y - 2 * x, z - 2], [0, 0]])
 
 
 class TestReceive:
     def test_sums_kept_and_inbound(self):
-        msgs = [
-            MassMessage(sender=1, receiver=0, c_y=5, c_z=2, step=0),
-            MassMessage(sender=2, receiver=0, c_y=2, c_z=1, step=0),
-        ]
-        after = receive(state(), 3, 1, msgs)
-        assert (after.y, after.z) == (10, 4)
+        cells = cells_for(0, 1, 2)
+        kept = remaining_step(state(y=3, z=1), 0, set(), ScriptedRng([]), cells)
+        # 7 splits into 2 and 2 for node 0, 3 stays; 2 into 1 and 1
+        remaining_step(state(y=7, z=3), 1, {0}, ScriptedRng([0, 0]), cells)
+        remaining_step(state(y=2, z=2), 2, {0}, ScriptedRng([0]), cells)
+        after = receive(kept, cells[0])
+        assert (after.y, after.z) == (8, 4)
+        assert (after.y_s, after.z_s, after.q_s) == (3, 1, 3)
 
     def test_nothing_arrives(self):
-        after = receive(state(q_s=4), 7, 3, [])
+        after = receive(state(q_s=4), [7, 3])
         assert (after.y, after.z) == (7, 3)
         assert after.q_s == 4  # snapshot fields untouched by delivery
 
     def test_zero_token_surplus_counts(self):
-        msgs = [MassMessage(sender=9, receiver=0, c_y=2, c_z=0, step=0)]
-        after = receive(state(), 4, 2, msgs)
+        cells = cells_for(0)
+        kept = remaining_step(state(y=4, z=2), 0, set(), ScriptedRng([0]), cells)
+        depart_step(state(x=1, y=4, z=2), 9, {0}, ScriptedRng([0]), cells)
+        after = receive(kept, cells[0])
         assert (after.y, after.z) == (6, 2)

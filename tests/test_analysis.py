@@ -1,5 +1,7 @@
 """Exact measures: average, error, convergence judgment, conservation."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,19 +33,44 @@ def rec(step, per_node, q, epsilon=0, x=0):
     )
 
 
+def declared(values):
+    """Node states that declared the given x values."""
+    return {v: AgentState(x, 0, 0, 0, 0, 0) for v, x in values.items()}
+
+
+def holding(mass):
+    """Node states holding the given (y, z) pairs."""
+    return {v: AgentState(0, y, z, 0, 0, 0) for v, (y, z) in mass.items()}
+
+
+def fraction_reference(mass, average):
+    """consensus_error's formula on Fraction ratios, for comparison."""
+    total = excluded = 0
+    for y, z in mass.values():
+        if z <= 0:
+            excluded += 1
+            continue
+        ratio = Fraction(y, z)
+        if math.ceil(ratio) > math.ceil(average):
+            total += math.ceil(ratio) - math.ceil(average)
+        if math.floor(ratio) < math.floor(average):
+            total += math.floor(average) - math.floor(ratio)
+    return total, excluded
+
+
 class TestTrueAverage:
     def test_exact_fraction(self):
-        assert true_average({0: 1, 1: 2, 2: 3, 3: 5}) == Fraction(11, 4)
+        assert true_average(declared({0: 1, 1: 2, 2: 3, 3: 5})) == Fraction(11, 4)
 
     def test_reduces(self):
-        assert true_average({0: 2, 1: 2}) == Fraction(2, 1)
+        assert true_average(declared({0: 2, 1: 2})) == Fraction(2, 1)
 
     def test_negative_values(self):
-        assert true_average({0: -3, 1: 2}) == Fraction(-1, 2)
+        assert true_average(declared({0: -3, 1: 2})) == Fraction(-1, 2)
 
     def test_empty_network_undefined(self):
         with pytest.raises(ValueError):
-            true_average({})
+            true_average(declared({}))
 
 
 class TestConsensusError:
@@ -51,28 +78,38 @@ class TestConsensusError:
         # q = 5/2: ratios 4 (ceil 4 > 3, one over), 1 (floor 1 < 2, one
         # under), 2 (inside). total 2.
         mass = {0: (4, 1), 1: (1, 1), 2: (2, 1)}
-        assert consensus_error(mass, Fraction(5, 2)) == (2, 0)
+        assert consensus_error(holding(mass), Fraction(5, 2)) == (2, 0)
 
     def test_zero_inside_band(self):
         mass = {0: (2, 1), 1: (3, 1), 2: (5, 2)}
-        assert consensus_error(mass, Fraction(5, 2)).value == 0
+        assert consensus_error(holding(mass), Fraction(5, 2)).value == 0
 
     def test_integer_average_has_degenerate_band(self):
         # q = 3: 7/2 = 3.5 pokes above the ceiling by one
-        assert consensus_error({0: (7, 2), 1: (3, 1)}, Fraction(3)).value == 1
+        assert consensus_error(holding({0: (7, 2), 1: (3, 1)}), Fraction(3)).value == 1
 
     def test_tokenless_nodes_excluded_not_rated(self):
         mass = {0: (5, 0), 1: (-9, -1), 2: (3, 1)}
-        result = consensus_error(mass, Fraction(3))
+        result = consensus_error(holding(mass), Fraction(3))
         assert result.value == 0
         assert result.excluded == 2
 
     def test_exact_rational_boundary(self):
         # the ratio equals the average exactly, so nothing is counted
-        assert consensus_error({0: (1, 3)}, Fraction(1, 3)).value == 0
+        assert consensus_error(holding({0: (1, 3)}), Fraction(1, 3)).value == 0
 
     def test_deep_negative_undershoot(self):
-        assert consensus_error({0: (-7, 2)}, Fraction(0)).value == 4
+        assert consensus_error(holding({0: (-7, 2)}), Fraction(0)).value == 4
+
+    @pytest.mark.parametrize("denominator", range(1, 8))
+    def test_integer_floor_and_ceiling_match_fractions(self, denominator):
+        draw = random.Random(denominator)
+        for _ in range(50):
+            average = Fraction(draw.randint(-40, 40), denominator)
+            mass = {v: (draw.randint(-60, 60), draw.randint(-3, 9)) for v in range(30)}
+            assert consensus_error(holding(mass), average) == fraction_reference(
+                mass, average
+            )
 
 
 class TestConvergenceTime:

@@ -180,6 +180,7 @@ class TestStrandedDeparture:
 
         lost_y = records[6].per_node[3].y - 2 * 100
         lost_z = records[6].per_node[3].z - 2
+        assert (violation.lost_y, violation.lost_z) == (lost_y, lost_z)
         rows = conservation_audit(records)
         for row in rows:
             if row.step <= 6:
