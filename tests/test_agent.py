@@ -50,6 +50,15 @@ class TestInitialization:
         assert (s.y_s, s.z_s, s.q_s) == (10, 2, 5)
 
 
+class TestQuantizedEstimate:
+    """q_s, the floor(y_s / z_s) estimate that remaining_step refreshes."""
+
+    def test_frozen_without_tokens(self):
+        for z in (0, -2):
+            out = remaining_step(state(y=9, z=z, q_s=77), 0, set(), ScriptedRng([]), cells_for(0))
+            assert out.q_s == 77
+
+
 class TestSplitMass:
     def test_three_tokens_all_same_candidate(self):
         split = split_mass(7, 3, 1, ScriptedRng([0, 0]))
@@ -134,8 +143,6 @@ class TestRemainingStep:
         assert out.q_s == 77
         assert (out.y_s, out.z_s) == (5, 0)
         assert cells == {0: [5, 0]}
-        out = remaining_step(state(y=9, z=-2, q_s=77), 0, set(), ScriptedRng([]), cells_for(0))
-        assert out.q_s == 77
 
     def test_rejects_self_target(self):
         with pytest.raises(ValueError):
