@@ -26,7 +26,12 @@ Cells = MutableMapping[int, list[int]]
 
 
 class IntegerDraws(Protocol):
-    """The one RNG method the agent needs (numpy Generators satisfy it)."""
+    """The one RNG method the agent needs: a uniform int in [low, high).
+
+    The engine passes an ``rng.Stream``, which returns Python ints. A
+    numpy ``Generator`` seeded the same way draws the same values but
+    returns numpy ints, which is why the draws go through ``int``.
+    """
 
     def integers(self, low: int, high: int) -> int: ...
 

@@ -100,9 +100,9 @@ class _FamilyCache:
     def family(self, active: frozenset[int]) -> list[DigraphInstance]:
         if active not in self._families:
             fingerprint = rng.node_set_fingerprint(active)
-            stream = rng.stream(self._seed, rng.TAG_TOPOLOGY_FAMILY, fingerprint)
+            draws = rng.generator(self._seed, rng.TAG_TOPOLOGY_FAMILY, fingerprint)
             self._families[active] = generate_instance_family(
-                active, self._count, self._degree, stream
+                active, self._count, self._degree, draws
             )
         return self._families[active]
 
@@ -127,7 +127,7 @@ def draw_topology(
         if cache is None:
             cache = _FamilyCache(scenario, seed)
         family = cache.family(active)
-        idx = int(rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).integers(0, len(family)))
+        idx = rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).integers(0, len(family))
         return family[idx]
 
     assert isinstance(topology, ExplicitTopology)
@@ -136,7 +136,7 @@ def draw_topology(
     chosen = topology.stable[-1][0]
     # A lone stable instance is chosen whatever the draw, so none is made.
     if len(topology.stable) > 1:
-        u = float(rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).random())
+        u = rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).random()
         cumulative = 0.0
         for instance, p in topology.stable:
             cumulative += p
@@ -178,21 +178,21 @@ def _membership_change(
     if interval is None:
         return frozenset(), frozenset()
     stream = rng.stream(seed, rng.TAG_CHURN, step)
-    if float(stream.random()) >= interval.event_prob:
+    if stream.random() >= interval.event_prob:
         return frozenset(), frozenset()
     weight_sum = interval.arrival_weight + interval.departure_weight
-    wants_arrival = float(stream.random()) < interval.arrival_weight / weight_sum
+    wants_arrival = stream.random() < interval.arrival_weight / weight_sum
     inactive_count = scenario.n_total - len(active)
     # A departure must leave at least one node behind; an event that
     # cannot go the drawn way goes the other way if it can.
     can_depart = len(active) > 1
     if inactive_count and (wants_arrival or not can_depart):
-        pick = _nth_inactive(active, int(stream.integers(0, inactive_count)))
+        pick = _nth_inactive(active, stream.integers(0, inactive_count))
         return frozenset({pick}), frozenset()
     if not can_depart:
         return frozenset(), frozenset()
     active_pool = sorted(active)
-    pick = active_pool[int(stream.integers(0, len(active_pool)))]
+    pick = active_pool[stream.integers(0, len(active_pool))]
     return frozenset(), frozenset({pick})
 
 
@@ -218,7 +218,7 @@ def _state_value(
         )
     if isinstance(source, ExplicitStates):
         return source.values[node]
-    return int(rng.stream(seed, *stream_key).integers(source.low, source.high + 1))
+    return rng.stream(seed, *stream_key).integers(source.low, source.high + 1)
 
 
 def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
@@ -280,7 +280,7 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         heads = out_adjacency(instance)
         for v in sorted(active):
             targets = heads[v] & membership.remaining
-            draws = rng.LazyStream(seed, rng.TAG_AGENT, k, v)
+            draws = rng.stream(seed, rng.TAG_AGENT, k, v)
             if v in membership.departing:
                 surplus = depart_step(states.pop(v), v, targets, draws, cells)
                 if surplus.stranded:

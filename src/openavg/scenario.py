@@ -412,8 +412,8 @@ def _check_state_sources(s: Scenario, out: _Findings) -> None:
         extras = _outside(s.initial_states.values, s.n_total)
         if extras:
             out.add("initial-states", "error", f"initial states for unknown ids {extras}")
-    elif s.initial_states.low > s.initial_states.high:
-        out.add("initial-states", "error", "uniform range is empty")
+    else:
+        _check_uniform(s.initial_states, "initial-states", out)
 
     scheduled = _scheduled_arrivals(s)
     any_node = isinstance(s.churn, StochasticChurn) and any(
@@ -436,8 +436,17 @@ def _check_state_sources(s: Scenario, out: _Findings) -> None:
                 "stochastic churn can admit any node; explicit arrival "
                 "states must cover every id",
             )
-    elif source.low > source.high:
-        out.add("arrival-states", "error", "uniform range is empty")
+    else:
+        _check_uniform(source, "arrival-states", out)
+
+
+def _check_uniform(source: UniformIntStates, code: str, out: _Findings) -> None:
+    # State draws replay numpy's int64 ``Generator.integers``, which
+    # defines no draw for a bound outside int64.
+    if source.low > source.high:
+        out.add(code, "error", "uniform range is empty")
+    elif source.low < -(1 << 63) or source.high > (1 << 63) - 1:
+        out.add(code, "error", "uniform bounds must lie in [-2**63, 2**63 - 1]")
 
 
 def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]] | None:

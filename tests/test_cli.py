@@ -42,6 +42,34 @@ class TestValidateCommand:
         assert "stranded-departure" in out
 
 
+class TestUniformStateBounds:
+    """Uniform state bounds are drawn as int64; one outside int64 is an
+    input error, for validate and run alike, never a traceback."""
+
+    def scenario(self, tmp_path, scenarios_dir, low, high):
+        data = json.loads((scenarios_dir / "static_small.json").read_text())
+        data["initial_states"] = {"type": "uniform_int", "low": low, "high": high}
+        data["horizon"] = 20
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("low, high", [(-2**70, 5), (-2**63 - 1, 0), (0, 2**63)])
+    def test_outside_int64_exits_one(self, tmp_path, scenarios_dir, capsys, low, high):
+        path = self.scenario(tmp_path, scenarios_dir, low, high)
+        assert invoke("validate", path) == 1
+        assert invoke("run", path, "--out", str(tmp_path / "out")) == 1
+        out = capsys.readouterr().out
+        assert "uniform bounds must lie in [-2**63, 2**63 - 1]" in out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("low, high", [(-2**63, 2**63 - 1), (2**63 - 9, 2**63 - 1)])
+    def test_int64_edges_run(self, tmp_path, scenarios_dir, low, high):
+        path = self.scenario(tmp_path, scenarios_dir, low, high)
+        assert invoke("validate", path) == 0
+        assert invoke("run", path, "--out", str(tmp_path / "out")) == 0
+
+
 class TestRunCommand:
     def test_writes_trace_per_seed(self, scenarios_dir, tmp_path, capsys):
         code = invoke(

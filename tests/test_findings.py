@@ -168,6 +168,10 @@ GOLDEN = {
         variant(initial_states={"type": "uniform_int", "low": 5, "high": 1}),
         [("initial-states", "error", "uniform range is empty")],
     ),
+    "initial-states-int64": (
+        variant(initial_states={"type": "uniform_int", "low": -2**70, "high": 5}),
+        [("initial-states", "error", "uniform bounds must lie in [-2**63, 2**63 - 1]")],
+    ),
     "arrival-states-missing": (
         variant(n_total=5, churn=events({"step": 2, "arrivals": [4]})),
         [NO_ARRIVAL_SOURCE, late(2)],
@@ -193,6 +197,12 @@ GOLDEN = {
         variant(n_total=5, arrival_states={"type": "uniform_int", "low": 3, "high": 2},
                 churn=events({"step": 2, "arrivals": [4]})),
         [("arrival-states", "error", "uniform range is empty"), late(2)],
+    ),
+    "arrival-states-int64": (
+        variant(n_total=5, arrival_states={"type": "uniform_int", "low": 0, "high": 2**63},
+                churn=events({"step": 2, "arrivals": [4]})),
+        [("arrival-states", "error", "uniform bounds must lie in [-2**63, 2**63 - 1]"),
+         late(2)],
     ),
     "churn-ids": (
         variant(churn=events({"step": 1, "departures": [9]})),
