@@ -6,8 +6,6 @@ set. This script builds both by hand to show the raw ingredients before
 any consensus protocol runs on top of them.
 """
 
-import numpy as np
-
 from openavg.graphs import (
     directed_cycle,
     generate_instance_family,
@@ -16,6 +14,7 @@ from openavg.graphs import (
     out_neighbors,
     union_digraph,
 )
+from openavg.rng import stream
 
 # --- membership boundaries --------------------------------------------------
 # Between step k and k+1 the active set can change. Three disjoint sets
@@ -45,7 +44,7 @@ for v in sorted(now):
 # arguments need the *union* of the family to be strongly connected,
 # even when no single member is.
 
-rng = np.random.default_rng(2024)
+rng = stream(2024, "demo")
 family = generate_instance_family(range(8), count=4, min_out_degree=1, rng=rng)
 for i, inst in enumerate(family):
     print(

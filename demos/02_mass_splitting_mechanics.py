@@ -8,25 +8,24 @@ they always re-sum to y exactly. That re-summing property, preserved by
 every send and receive in the system, is the whole conservation story.
 """
 
-import numpy as np
-
 from openavg.agent import init_active, receive, remaining_step, split_mass
+from openavg.rng import stream
 
 # --- the raw splitting loop ---------------------------------------------
 # Watch (y, z) = (22, 5) fall apart. Each cut takes floor(y/z) of the
 # *current* remainder, so consecutive pieces track the running ratio.
 
-rng = np.random.default_rng(3)
+rng = stream(3, "demo")
 split = split_mass(22, 5, n_candidates=3, rng=rng)
 print("input mass      (22, 5)")
-print("routed pieces   ", [(int(i), v) for i, v in split.routed])
+print("routed pieces   ", list(split.routed))
 print("residual        ", (split.residual_y, split.residual_z))
 print("token values    ", split.token_values())
 print("sum of values   ", sum(split.token_values()))
 
 # Negative mass floors toward minus infinity, so pieces of (-22, 5) are
 # the mirror image shifted by the quantizer, still summing exactly.
-split = split_mass(-22, 5, n_candidates=3, rng=np.random.default_rng(3))
+split = split_mass(-22, 5, n_candidates=3, rng=stream(3, "demo"))
 print("\nnegative input  (-22, 5)")
 print("token values    ", split.token_values(), "sum", sum(split.token_values()))
 
@@ -43,7 +42,7 @@ print("\nfresh agent     y,z =", (state.y, state.z), " estimate =", state.q_s)
 
 cells = {v: [0, 0] for v in (1, 2, 3)}
 snapshot = remaining_step(state, node=1, targets={2, 3},
-                          rng=np.random.default_rng(12), cells=cells)
+                          rng=stream(12, "demo"), cells=cells)
 for v, (y, z) in cells.items():
     role = "kept by 1" if v == 1 else f"sent to {v}"
     print(f"cell of {v} ({role}):  (y={y}, z={z})")

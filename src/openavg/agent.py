@@ -19,21 +19,12 @@ negative values; do not "optimize" it to C-style truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, MutableMapping, NamedTuple, Protocol
+from typing import AbstractSet, MutableMapping, NamedTuple
+
+from .rng import IntegerDraws
 
 # Per-receiver [y, z] sums of one step, one cell per remaining node.
 Cells = MutableMapping[int, list[int]]
-
-
-class IntegerDraws(Protocol):
-    """The one RNG method the agent needs: a uniform int in [low, high).
-
-    The engine passes an ``rng.Stream``, which returns Python ints. A
-    numpy ``Generator`` seeded the same way draws the same values but
-    returns numpy ints, which is why the draws go through ``int``.
-    """
-
-    def integers(self, low: int, high: int) -> int: ...
 
 
 @dataclass(frozen=True, slots=True)

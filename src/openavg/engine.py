@@ -100,7 +100,7 @@ class _FamilyCache:
     def family(self, active: frozenset[int]) -> list[DigraphInstance]:
         if active not in self._families:
             fingerprint = rng.node_set_fingerprint(active)
-            draws = rng.generator(self._seed, rng.TAG_TOPOLOGY_FAMILY, fingerprint)
+            draws = rng.stream(self._seed, rng.TAG_TOPOLOGY_FAMILY, fingerprint)
             self._families[active] = generate_instance_family(
                 active, self._count, self._degree, draws
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
+from .rng import IntegerDraws
 
 NodeId = int
 
@@ -111,10 +111,7 @@ def strongly_connected_components(g: DigraphInstance) -> list[frozenset[NodeId]]
     Components come back in reverse topological order of the condensation;
     callers that only care about counts can ignore that.
     """
-    adjacency: dict[NodeId, list[NodeId]] = {v: [] for v in g.nodes}
-    for a, b in sorted(g.edges):
-        adjacency[a].append(b)
-
+    adjacency = out_adjacency(g)
     index_of: dict[NodeId, int] = {}
     lowlink: dict[NodeId, int] = {}
     on_stack: set[NodeId] = set()
@@ -172,71 +169,53 @@ def is_strongly_connected(g: DigraphInstance) -> bool:
     return len(strongly_connected_components(g)) == 1
 
 
-def _tail_shuffled(m: int, take: int) -> bool:
-    """Whether numpy's ``Generator.choice(m, take, replace=False)`` shuffles
-    ``range(m)`` from the tail (True) or runs Floyd's algorithm (False).
-    This and the replay below follow numpy 2.4.6."""
-    return m > 10000 and take > m // 50
-
-
-def _choice_bounds(m: int, take: int) -> list[int]:
-    """Exclusive upper bounds, in order, of the draws numpy's
-    ``Generator.choice(m, take, replace=False)`` makes. A bound of 1
-    consumes no draw, in ``choice`` as in ``integers``."""
-    if _tail_shuffled(m, take):
-        return list(range(m, max(m - take, 1), -1))
-    # Floyd's algorithm, then a shuffle of the ``take`` picks.
-    return [*range(m - take + 1, m + 1), *range(take, 1, -1)]
-
-
-def _choice_picks(m: int, take: int, draws: list[int]) -> list[int]:
-    """The picks, in order, of ``Generator.choice(m, take, replace=False)``
-    whose draws against ``_choice_bounds(m, take)`` were ``draws``."""
-    if _tail_shuffled(m, take):
-        # Position -> value, for the positions of range(m) the swaps moved.
+def _choice(m: int, take: int, draws: IntegerDraws) -> list[int]:
+    """numpy 2.4.6's ``Generator.choice(m, take, replace=False)``, one draw
+    at a time: the picks, and the draws consumed, are numpy's for the same
+    generator. A range of one value consumes no draw, as in ``integers``."""
+    if m > 10000 and take > m // 50:
+        # Tail shuffle; position -> value, for the positions the swaps moved.
         moved: dict[int, int] = {}
-        for i, j in zip(range(m - 1, max(m - take, 1) - 1, -1), draws):
+        for i in range(m - 1, max(m - take, 1) - 1, -1):
+            j = int(draws.integers(0, i + 1))
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
         return [moved.get(i, i) for i in range(m - take, m)]
+    # Floyd's algorithm, then a shuffle of the ``take`` picks.
     picks: list[int] = []
     seen: set[int] = set()
-    for j, value in zip(range(m - take, m), draws):
+    for j in range(m - take, m):
+        value = int(draws.integers(0, j + 1))
         pick = j if value in seen else value
         seen.add(pick)
         picks.append(pick)
-    for i, j in zip(range(take - 1, 0, -1), draws[take:]):
+    for i in range(take - 1, 0, -1):
+        j = int(draws.integers(0, i + 1))
         picks[i], picks[j] = picks[j], picks[i]
     return picks
 
 
 def random_out_degree_instance(
-    nodes: Iterable[NodeId], min_out_degree: int, rng: np.random.Generator
+    nodes: Iterable[NodeId], min_out_degree: int, rng: IntegerDraws
 ) -> DigraphInstance:
     """Draw an instance where every node gets ``min_out_degree`` distinct
     out-neighbors chosen uniformly without replacement (capped at n-1).
 
-    Node by node, the picks and the generator state afterwards are those
-    of ``rng.choice(n - 1, size=take, replace=False)`` with ``take`` the
-    capped degree, but all nodes' draws come from one ``rng.integers``
-    call.
+    Node by node in sorted order, the picks and the generator state
+    afterwards are those of ``rng.choice(n - 1, size=take, replace=False)``
+    over the other nodes, with ``take`` the capped degree.
     """
     ordered = sorted(set(nodes))
     if not ordered:
         raise ValueError("need at least one node")
     m = len(ordered) - 1
     take = min(min_out_degree, m)
-    edges: set[tuple[NodeId, NodeId]] = set()
-    if take > 0:
-        bounds = _choice_bounds(m, take)
-        width = len(bounds)
-        all_bounds = np.array(bounds * len(ordered), dtype=np.int64)
-        draws = rng.integers(0, all_bounds).tolist()
-        for pos, v in enumerate(ordered):
-            # Index i draws from the n-1 nodes other than v, in sorted order:
-            # those before v keep their index, those after it shift by one.
-            start = pos * width
-            for i in _choice_picks(m, take, draws[start:start + width]):
-                edges.add((v, ordered[i if i < pos else i + 1]))
+    # Index i draws from the n-1 nodes other than v, in sorted order:
+    # those before v keep their index, those after it shift by one.
+    edges = {
+        (v, ordered[i if i < pos else i + 1])
+        for pos, v in enumerate(ordered)
+        for i in _choice(m, take, rng)
+    }
     return DigraphInstance(nodes=frozenset(ordered), edges=frozenset(edges))
 
 
@@ -255,7 +234,7 @@ def generate_instance_family(
     nodes: Iterable[NodeId],
     count: int,
     min_out_degree: int,
-    rng: np.random.Generator,
+    rng: IntegerDraws,
     max_attempts: int = 64,
 ) -> list[DigraphInstance]:
     """Draw ``count`` random instances whose union is strongly connected.

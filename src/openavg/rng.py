@@ -21,20 +21,18 @@ bit, in Python:
   ``next_double``.
 
 A stream seeds itself on its first draw, so a holder that never draws
-never pays for the mixing. Only the vectorised draw of a random instance
-family needs numpy's own ``Generator``: ``generator`` builds it from the
-same four words, and it alone loads ``numpy.random``. NumPy's RNG policy
-(NEP 19) keeps ``SeedSequence`` and ``PCG64`` output stable, but not
-``Generator.integers``, so traces are pinned with numpy 2.4.6 and
-``tests/test_rng.py`` compares every draw and state with numpy's.
+never pays for the mixing. Every draw of a run, random instance families
+included, is made here, so traces do not depend on the installed numpy.
+NumPy's RNG policy (NEP 19) keeps ``SeedSequence`` and ``PCG64`` output
+stable, but not ``Generator.integers`` or ``choice``, so the replay is
+pinned to numpy 2.4.6, and the tests compare every draw and state with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-
-import numpy as np
+from typing import Protocol
 
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
@@ -215,6 +213,15 @@ def _seed_words(parts: tuple[int | str, ...]) -> tuple[int, int, int, int]:
     )
 
 
+class IntegerDraws(Protocol):
+    """The one RNG method the agent and family draws need: a uniform int in
+    [low, high). A ``Stream`` returns Python ints; a numpy ``Generator``
+    seeded the same way draws the same values as numpy ints, so callers
+    pass each draw through ``int``."""
+
+    def integers(self, low: int, high: int) -> int: ...
+
+
 class Stream:
     """numpy's ``default_rng(SeedSequence(key words))``, replayed in Python.
 
@@ -294,35 +301,6 @@ class Stream:
 def stream(seed: int, *key: int | str) -> Stream:
     """The stream for (seed, *key). Identical arguments, identical draws."""
     return Stream((seed, *key))
-
-
-def generator(seed: int, *key: int | str) -> np.random.Generator:
-    """numpy's ``Generator`` for (seed, *key), seeded from the same four
-    words as ``stream``, for draws over whole arrays of bounds."""
-    Generator, PCG64, SeedWords = _numpy_random()
-    return Generator(PCG64(SeedWords(_seed_words((seed, *key)))))
-
-
-@lru_cache(maxsize=1)
-def _numpy_random():
-    """numpy.random's ``Generator`` and ``PCG64``, and a seed sequence that
-    hands ``PCG64`` four precomputed words. Built on first use, so that
-    only a run that draws a random family loads ``numpy.random``."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words: tuple[int, int, int, int]) -> None:
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("holds exactly the four uint64 words PCG64 asks for")
-            return np.array(self.words, np.uint64)
-
-    return Generator, PCG64, SeedWords
 
 
 def node_set_fingerprint(nodes) -> int:

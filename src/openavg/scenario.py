@@ -256,8 +256,11 @@ def _explicit_states(obj: dict[str, Any], where: str) -> ExplicitStates:
         raise ScenarioFormatError(f"{where}.values: expected an object")
     values: dict[NodeId, int] = {}
     for key, val in raw.items():
+        # Canonical decimal only: "01" must not overwrite node 1's value.
         try:
             node = int(key)
+            if str(node) != key:
+                raise ValueError(key)
         except ValueError:
             raise ScenarioFormatError(f"{where}.values: bad node id {key!r}") from None
         values[node] = _as_int(val, f"{where}.values[{key}]")
@@ -360,10 +363,20 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, or a repeated key
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(data)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict, refusing a repeated key ``json`` would drop."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 # -- validation ---------------------------------------------------------------

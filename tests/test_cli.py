@@ -27,6 +27,12 @@ class TestValidateCommand:
         path.write_text("{")
         assert invoke("validate", str(path)) == 2
 
+    def test_integer_too_long_to_decode(self, tmp_path):
+        # json raises a plain ValueError past Python's int digit limit.
+        path = tmp_path / "huge.json"
+        path.write_text('{"n_total": ' + "1" * 5000 + "}")
+        assert invoke("validate", str(path)) == 2
+
     def test_semantic_error(self, tmp_path, scenarios_dir):
         data = json.loads((scenarios_dir / "static_small.json").read_text())
         data["k_prime"] = 1000
@@ -40,6 +46,22 @@ class TestValidateCommand:
         assert invoke("validate", fixture, "--strict") == 1
         out = capsys.readouterr().out
         assert "stranded-departure" in out
+
+
+class TestNodeIdKeys:
+    """A state map key that is not a node id's canonical decimal form, or a
+    key given twice, is malformed input: exit 2, for validate and run."""
+
+    @pytest.mark.parametrize("extra", ['"01": 7', '"1": 7'])
+    def test_exits_two(self, tmp_path, scenarios_dir, capsys, extra):
+        text = (scenarios_dir / "static_small.json").read_text()
+        assert text.count('"1": 2,') == 1
+        path = tmp_path / "keys.json"
+        path.write_text(text.replace('"1": 2,', f'"1": 2, {extra},'))
+        assert invoke("validate", str(path)) == 2
+        assert invoke("run", str(path), "--out", str(tmp_path / "out")) == 2
+        assert "cannot load scenario" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUniformStateBounds:

@@ -6,6 +6,11 @@ so in CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,20 +46,21 @@ GOLDEN = {
 }
 
 
+# A generated no-churn random_family scenario: n=60, T=5, horizon 15.
+RANDOM_FAMILY_N60 = {
+    "n_total": 60,
+    "initially_active": list(range(60)),
+    "initial_states": {"type": "uniform_int", "low": -5, "high": 20},
+    "churn": {"type": "none"},
+    "topology": {"type": "random_family", "min_out_degree": 2},
+    "k_prime": 0,
+    "T": 5,
+    "horizon": 15,
+}
+
+
 def random_family_n60():
-    """A generated no-churn random_family scenario: n=60, T=5, horizon 15."""
-    return parse_scenario(
-        {
-            "n_total": 60,
-            "initially_active": list(range(60)),
-            "initial_states": {"type": "uniform_int", "low": -5, "high": 20},
-            "churn": {"type": "none"},
-            "topology": {"type": "random_family", "min_out_degree": 2},
-            "k_prime": 0,
-            "T": 5,
-            "horizon": 15,
-        }
-    )
+    return parse_scenario(RANDOM_FAMILY_N60)
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
@@ -66,3 +72,31 @@ def test_trace_digest_is_frozen(name, seed, scenarios_dir, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(scenario, seed=seed), scenario.n_total, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(name, seed)]
+
+
+def test_traces_without_numpy(scenarios_dir, tmp_path):
+    # Every draw, families included, is made in Python: with numpy made
+    # unimportable, the CLI still writes the golden traces.
+    (tmp_path / "random_family_n60.json").write_text(json.dumps(RANDOM_FAMILY_N60))
+    paths = [scenarios_dir / "paper_sec5.json", tmp_path / "random_family_n60.json"]
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from openavg.cli import main\n"
+        f"for path in {[str(p) for p in paths]!r}:\n"
+        "    assert main(['run', path, '--seed', '1', '--out', '.']) == 0\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("paper_sec5", "random_family_n60"):
+        trace = (tmp_path / f"{name}-seed1-trace.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == GOLDEN[(name, 1)], name

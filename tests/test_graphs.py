@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from test_rng import pcg_state, reference
 
+from openavg import rng
 from openavg.graphs import (
     DigraphInstance,
-    _choice_bounds,
-    _choice_picks,
+    _choice,
     directed_cycle,
     generate_instance_family,
     is_strongly_connected,
@@ -242,6 +243,17 @@ class TestIndexedDraws:
             assert got == expected
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 800])
+    def test_stream_instance_equals_numpy_instance(self, n):
+        nodes = [3 * i + 1 for i in range(n)]
+        for degree in (1, 2, 3, n):
+            stream, ref_rng = rng.stream(n, "x", degree), reference(n, "x", degree)
+            expected = others_list_instance(nodes, degree, ref_rng)
+            assert random_out_degree_instance(nodes, degree, stream) == expected
+            # One more draw seeds a stream that drew nothing (n = 1).
+            assert stream.integers(0, 2**40) == ref_rng.integers(0, 2**40)
+            assert pcg_state(stream) == ref_rng.bit_generator.state
+
     def test_adjacency_matches_edge_scan(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 7, 30):
@@ -257,21 +269,20 @@ class TestIndexedDraws:
 
 
 class TestChoiceReplay:
-    """One node's draws: the bounds and the replay of numpy's index
-    algorithm against ``Generator.choice(m, take, replace=False)``. The
-    sizes cover Floyd's algorithm (m <= 10000 or take <= m // 50) and the
-    tail shuffle (m > 10000 and take > m // 50)."""
+    """One node's draws: ``_choice`` on an ``rng.Stream`` against numpy's
+    ``Generator.choice(m, take, replace=False)`` on the generator the
+    stream replays. The sizes cover Floyd's algorithm (m <= 10000 or
+    take <= m // 50) and the tail shuffle (m > 10000 and take > m // 50)."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 799, 10000, 10001, 10050, 20000])
     def test_replay_equals_choice(self, m):
         takes = sorted({t for t in (1, 2, 3, m // 50, m // 50 + 1, m) if 1 <= t <= m})
         for take in takes:
-            bounds = np.array(_choice_bounds(m, take), dtype=np.int64)
             for seed in range(4):
-                ref_rng = np.random.default_rng(seed)
-                new_rng = np.random.default_rng(seed)
+                stream, ref_rng = rng.stream(seed, "x"), reference(seed, "x")
                 for _ in range(3):
                     expected = ref_rng.choice(m, take, replace=False).tolist()
-                    got = _choice_picks(m, take, new_rng.integers(0, bounds).tolist())
-                    assert got == expected, (take, seed)
-                    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+                    assert _choice(m, take, stream) == expected, (take, seed)
+                # One more draw seeds a stream that drew nothing (m = 1).
+                assert stream.integers(0, 2**40) == ref_rng.integers(0, 2**40)
+                assert pcg_state(stream) == ref_rng.bit_generator.state

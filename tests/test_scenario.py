@@ -122,6 +122,33 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("key", ["01", "+1", " 1_0 ", "-0", "1.0", "１"])
+    def test_node_id_keys_must_be_canonical(self, key):
+        # int() accepts all but "1.0", so "01" would overwrite node 1's value.
+        data = base_dict()
+        data["initial_states"]["values"][key] = 7
+        with pytest.raises(
+            ScenarioFormatError, match=r"^scenario\.initial_states\.values: bad node id"
+        ):
+            parse_scenario(data)
+
+    def test_negative_node_id_key_parses(self):
+        data = base_dict()
+        data["initial_states"]["values"]["-3"] = 7
+        assert parse_scenario(data).initial_states.values[-3] == 7
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"seed": 7', '"seed": 7, "seed": 8'), ('"0": 1,', '"0": 1, "0": 9,')],
+    )
+    def test_load_rejects_repeated_keys(self, tmp_path, old, new):
+        path = tmp_path / "twice.json"
+        text = json.dumps(base_dict())
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ScenarioFormatError, match="repeated key"):
+            load_scenario(path)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(ScenarioFormatError):
             parse_scenario([1, 2, 3])
