@@ -7,12 +7,19 @@ from a Python PCG64. numpy is the reference for all of it: the draws of
 numpy's for the same calls.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openavg import rng
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -12345]
 TAGS = [
@@ -151,3 +158,34 @@ def test_random_bound_sequences_equal_numpy(seed, key, calls):
     calls = [(0, 2)] + calls  # seed both, so that their states compare
     assert_replays(seed, tuple(key), calls)
 
+
+def _run_python(code, cwd=None):
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    code = "import sys, openavg.cli; print('numpy.random' in sys.modules)"
+    assert _run_python(code) == ["False"]
+
+
+def test_sweep_of_explicit_topology_does_not_load_numpy_random(tmp_path):
+    # Every stream is drawn in Python.
+    scenario = REPO_ROOT / "scenarios" / "static_small.json"
+    code = (
+        "import sys\n"
+        "from openavg.cli import main\n"
+        f"code = main(['sweep', {str(scenario)!r}, '--seeds', '3', '--out', '.'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    assert _run_python(code, cwd=tmp_path)[-1] == "0 False"
+    assert (tmp_path / "static_small-sweep.csv").exists()
