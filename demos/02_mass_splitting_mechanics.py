@@ -30,19 +30,19 @@ print("\nnegative input  (-22, 5)")
 print("token values    ", split.token_values(), "sum", sum(split.token_values()))
 
 # --- a full protocol step ------------------------------------------------
-# remaining_step() wraps the loop for an active node: it snapshots the
-# holding (that snapshot is what the public estimate quantizes), routes
-# pieces to sorted targets with itself as the final candidate, and adds
-# every piece to its receiver's cell, an integer (y, z) sum for the step.
-# What the node keeps goes into its own cell the same way. At the
-# barrier, receive() makes each cell the node's new holding.
+# remaining_step() wraps the loop for an active node: it routes pieces to
+# sorted targets with itself as the final candidate, and adds every piece
+# to its receiver's cell, an integer (y, z) sum for the step. What the
+# node keeps goes into its own cell the same way. At the barrier,
+# receive() builds the node's next state from the state it started the
+# step with: its cell becomes the new holding, and the public estimate
+# q_s quantizes the holding it started with.
 
 state = init_active(7)  # x=7 enters as mass (14, 2)
 print("\nfresh agent     y,z =", (state.y, state.z), " estimate =", state.q_s)
 
 cells = {v: [0, 0] for v in (1, 2, 3)}
-snapshot = remaining_step(state, node=1, targets={2, 3},
-                          rng=stream(12, "demo"), cells=cells)
+remaining_step(state, node=1, targets={2, 3}, rng=stream(12, "demo"), cells=cells)
 for v, (y, z) in cells.items():
     role = "kept by 1" if v == 1 else f"sent to {v}"
     print(f"cell of {v} ({role}):  (y={y}, z={z})")
@@ -50,6 +50,6 @@ total_y = sum(y for y, _ in cells.values())
 total_z = sum(z for _, z in cells.values())
 print("totals check    ", (total_y, total_z), "== (14, 2)")
 # Only node 1 sent this step, so its cell holds just what it kept.
-after = receive(snapshot, cells[1])
+after = receive(state, cells[1])
 print("node 1 after the barrier  y,z =", (after.y, after.z),
-      " estimate =", after.q_s)
+      " estimate =", after.q_s, "= floor(14/2)")

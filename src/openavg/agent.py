@@ -2,7 +2,7 @@
 
 Each active agent holds a mass pair: ``y`` is an integer sum of state
 contributions, ``z`` counts the unit tokens backing it. The agent's
-public estimate is the floored ratio of its last snapshot of that pair.
+public estimate floors the ratio of the pair it began its last step with.
 At every step an agent splits its mass into single-token pieces and
 routes each piece to a uniformly chosen candidate (an out-neighbor or
 itself). Every piece, and the piece it keeps, is added into the
@@ -34,16 +34,13 @@ class AgentState:
     x:   state value declared at the most recent activation
     y:   mass value currently held
     z:   mass token count currently held
-    y_s: snapshot of y taken at the start of the last step
-    z_s: snapshot of z taken at the start of the last step
-    q_s: floor(y_s / z_s), frozen whenever z_s dropped below 1
+    q_s: floor(y / z) of the holding at the start of the last step,
+         frozen whenever that holding had no token
     """
 
     x: int
     y: int
     z: int
-    y_s: int
-    z_s: int
     q_s: int
 
 
@@ -107,7 +104,7 @@ def init_active(x: int) -> AgentState:
     arriving node's state takes effect only from the *next* step; it
     neither sends nor receives during the step it appears.
     """
-    return AgentState(x=x, y=2 * x, z=2, y_s=2 * x, z_s=2, q_s=x)
+    return AgentState(x=x, y=2 * x, z=2, q_s=x)
 
 
 def remaining_step(
@@ -116,17 +113,15 @@ def remaining_step(
     targets: AbstractSet[int],
     rng: IntegerDraws,
     cells: Cells,
-) -> AgentState:
+) -> None:
     """Send phase for a node that stays active through this step.
 
-    Snapshots (y, z) into (y_s, z_s), refreshes q_s when at least one
-    token is present, then splits the mass over the candidate list
-    ``sorted(targets) + [self]`` with every candidate equally likely per
-    token. Each routed piece adds its value and one token to its
-    receiver's cell; the residual piece and the pieces drawn for self
-    are added to the node's own cell, since keeping mass is a delivery
-    to self. The returned state carries y = z = 0 because the whole
-    holding is in flight until receive().
+    Splits the mass over the candidate list ``sorted(targets) + [self]``
+    with every candidate equally likely per token. Each routed piece adds
+    its value and one token to its receiver's cell; the residual piece
+    and the pieces drawn for self are added to the node's own cell, since
+    keeping mass is a delivery to self. The node's state is untouched:
+    receive() builds its next one at the barrier.
     """
     if node in targets:
         raise ValueError("self must not appear among targets")
@@ -140,8 +135,6 @@ def remaining_step(
         cell = candidates[idx]
         cell[0] += value
         cell[1] += 1
-    q = state.y // state.z if state.z >= 1 else state.q_s
-    return AgentState(x=state.x, y=0, z=0, y_s=state.y, z_s=state.z, q_s=q)
 
 
 def depart_step(
@@ -173,13 +166,11 @@ def depart_step(
 
 
 def receive(state: AgentState, cell: list[int]) -> AgentState:
-    """Barrier delivery: the new holding is the node's cell, the sum of
-    what it kept and everything routed or handed off to it this step.
-
-    Surplus handoffs from departers may carry zero tokens or a negative
-    value; they were summed into the cell the same way.
+    """Barrier delivery: the next state of a node that started the step
+    in ``state``. The new holding is its cell, the sum of what it kept and
+    everything routed or handed off to it this step (departers' surplus
+    may carry zero tokens or a negative value). q_s is refreshed from the
+    start-of-step holding when that held at least one token.
     """
-    y, z = cell
-    return AgentState(
-        x=state.x, y=y, z=z, y_s=state.y_s, z_s=state.z_s, q_s=state.q_s
-    )
+    q = state.y // state.z if state.z >= 1 else state.q_s
+    return AgentState(x=state.x, y=cell[0], z=cell[1], q_s=q)

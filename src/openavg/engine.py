@@ -10,7 +10,8 @@ One step k works on the active set V[k]:
 5. remaining nodes split their mass and add every piece, the kept ones
    included, to the receivers' cells: one integer (y, z) sum per
    remaining node
-6. barrier: every remaining node's new holding is its cell
+6. barrier: every remaining node's next state is built once, from its
+   start-of-step state and its cell, which is its new holding
 7. arrivals activate with fresh state, effective from the next step
 8. ledger: the mass offset of the new states must equal minus the
    running surplus lost to stranded departures, or the run stops
@@ -278,11 +279,11 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         # the order of the violations. A node's agent stream is seeded
         # only if it draws: one holding z <= 1 tokens splits nothing.
         heads = out_adjacency(instance)
-        for v in sorted(active):
+        for v, state in per_node.items():
             targets = heads[v] & membership.remaining
             draws = rng.stream(seed, rng.TAG_AGENT, k, v)
             if v in membership.departing:
-                surplus = depart_step(states.pop(v), v, targets, draws, cells)
+                surplus = depart_step(state, v, targets, draws, cells)
                 if surplus.stranded:
                     violations.append(
                         Violation(v, "stranded_departure", surplus.y, surplus.z)
@@ -290,13 +291,13 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
                     lost_y += surplus.y
                     lost_z += surplus.z
             else:
-                states[v] = remaining_step(states[v], v, targets, draws, cells)
+                remaining_step(state, v, targets, draws, cells)
         # Freed before the next step builds its own, so that two steps'
         # adjacencies are never held at once (it shows in peak memory).
         del heads
 
-        for v, cell in cells.items():
-            states[v] = receive(states[v], cell)
+        # Departers have no cell, so they drop out here.
+        states = {v: receive(per_node[v], cell) for v, cell in cells.items()}
 
         for v in sorted(membership.arriving):
             if v in states:

@@ -15,6 +15,7 @@ how hard to fail.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -194,6 +195,10 @@ def _as_int(value: Any, where: str) -> int:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected number, got {value!r}")
+    # json reads NaN and +-Infinity. NaN fails every comparison, and an int
+    # too large for a float compares exactly instead of overflowing.
+    if not abs(value) <= sys.float_info.max:
+        raise ScenarioFormatError(f"{where}: expected a finite number")
     return float(value)
 
 
@@ -364,7 +369,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or a repeated key
+    # JSONDecodeError or a repeated key; RecursionError from deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(data)
 

@@ -255,7 +255,7 @@ def test_c8_routing_frequencies_are_uniform(scenarios_dir):
     # remaining step: 3 targets + self, one routed token per call
     counts = {1: 0, 2: 0, 3: 0, "self": 0}
     rng = np.random.default_rng(4242)
-    state = AgentState(x=1, y=4, z=2, y_s=4, z_s=2, q_s=2)
+    state = AgentState(x=1, y=4, z=2, q_s=2)
     for _ in range(100_000):
         cells = {v: [0, 0] for v in (0, 1, 2, 3)}
         remaining_step(state, 0, {1, 2, 3}, rng, cells)
@@ -266,7 +266,7 @@ def test_c8_routing_frequencies_are_uniform(scenarios_dir):
     # departure handoff: uniform over 3 sorted targets
     rng = np.random.default_rng(777)
     depart_counts = {1: 0, 2: 0, 3: 0}
-    dstate = AgentState(x=1, y=9, z=4, y_s=9, z_s=4, q_s=2)
+    dstate = AgentState(x=1, y=9, z=4, q_s=2)
     for _ in range(100_000):
         cells = {v: [0, 0] for v in (1, 2, 3)}
         depart_step(dstate, 0, {1, 2, 3}, rng, cells)

@@ -34,8 +34,8 @@ class ScriptedRng:
         return pick
 
 
-def state(x=0, y=0, z=0, y_s=0, z_s=0, q_s=0):
-    return AgentState(x=x, y=y, z=z, y_s=y_s, z_s=z_s, q_s=q_s)
+def state(x=0, y=0, z=0, q_s=0):
+    return AgentState(x=x, y=y, z=z, q_s=q_s)
 
 
 def cells_for(*nodes):
@@ -46,17 +46,15 @@ def cells_for(*nodes):
 class TestInitialization:
     def test_doubled_mass(self):
         s = init_active(5)
-        assert (s.x, s.y, s.z) == (5, 10, 2)
-        assert (s.y_s, s.z_s, s.q_s) == (10, 2, 5)
+        assert (s.x, s.y, s.z, s.q_s) == (5, 10, 2, 5)
 
 
 class TestQuantizedEstimate:
-    """q_s, the floor(y_s / z_s) estimate that remaining_step refreshes."""
+    """q_s, the floor(y / z) estimate that receive refreshes."""
 
     def test_frozen_without_tokens(self):
         for z in (0, -2):
-            out = remaining_step(state(y=9, z=z, q_s=77), 0, set(), ScriptedRng([]), cells_for(0))
-            assert out.q_s == 77
+            assert receive(state(y=9, z=z, q_s=77), [9, z]).q_s == 77
 
 
 class TestSplitMass:
@@ -114,8 +112,8 @@ class TestRemainingStep:
         cells = cells_for(0)
         out = remaining_step(before, 0, set(), ScriptedRng([0, 0]), cells)
         assert cells == {0: [7, 3]}
-        assert (out.y, out.z) == (0, 0)
-        assert (out.y_s, out.z_s, out.q_s) == (7, 3, 2)
+        assert out is None
+        assert receive(before, cells[0]) == state(x=1, y=7, z=3, q_s=2)
 
     def test_routing_coalesces_per_receiver(self):
         before = state(x=2, y=10, z=4)
@@ -131,18 +129,18 @@ class TestRemainingStep:
         assert cells == {5: [6, 3], 8: [0, 0]}
 
     def test_estimate_floors_toward_minus_infinity(self):
-        out = remaining_step(state(y=-7, z=2), 0, set(), ScriptedRng([0]), cells_for(0))
-        assert out.q_s == -4
-        out = remaining_step(state(y=7, z=2), 0, set(), ScriptedRng([0]), cells_for(0))
-        assert out.q_s == 3
+        for y, q in ((-7, -4), (7, 3)):
+            before = state(y=y, z=2)
+            cells = cells_for(0)
+            remaining_step(before, 0, set(), ScriptedRng([0]), cells)
+            assert receive(before, cells[0]).q_s == q
 
     def test_estimate_frozen_when_no_tokens(self):
         before = state(y=5, z=0, q_s=77)
         cells = cells_for(0)
-        out = remaining_step(before, 0, set(), ScriptedRng([]), cells)
-        assert out.q_s == 77
-        assert (out.y_s, out.z_s) == (5, 0)
+        remaining_step(before, 0, set(), ScriptedRng([]), cells)
         assert cells == {0: [5, 0]}
+        assert receive(before, cells[0]).q_s == 77
 
     def test_rejects_self_target(self):
         with pytest.raises(ValueError):
@@ -215,22 +213,27 @@ class TestDepartStep:
 class TestReceive:
     def test_sums_kept_and_inbound(self):
         cells = cells_for(0, 1, 2)
-        kept = remaining_step(state(y=3, z=1), 0, set(), ScriptedRng([]), cells)
+        start = state(y=3, z=1)
+        remaining_step(start, 0, set(), ScriptedRng([]), cells)
         # 7 splits into 2 and 2 for node 0, 3 stays; 2 into 1 and 1
         remaining_step(state(y=7, z=3), 1, {0}, ScriptedRng([0, 0]), cells)
         remaining_step(state(y=2, z=2), 2, {0}, ScriptedRng([0]), cells)
-        after = receive(kept, cells[0])
-        assert (after.y, after.z) == (8, 4)
-        assert (after.y_s, after.z_s, after.q_s) == (3, 1, 3)
+        after = receive(start, cells[0])
+        assert (after.y, after.z, after.q_s) == (8, 4, 3)
 
     def test_nothing_arrives(self):
-        after = receive(state(q_s=4), [7, 3])
-        assert (after.y, after.z) == (7, 3)
-        assert after.q_s == 4  # snapshot fields untouched by delivery
+        after = receive(state(x=6, q_s=4), [7, 3])
+        assert after == state(x=6, y=7, z=3, q_s=4)
+
+    def test_estimate_comes_from_start_of_step_holding(self):
+        # the start holding floors to 2; the delivered cell would give 10
+        after = receive(state(y=5, z=2, q_s=0), [30, 3])
+        assert (after.y, after.z, after.q_s) == (30, 3, 2)
 
     def test_zero_token_surplus_counts(self):
         cells = cells_for(0)
-        kept = remaining_step(state(y=4, z=2), 0, set(), ScriptedRng([0]), cells)
+        start = state(y=4, z=2)
+        remaining_step(start, 0, set(), ScriptedRng([0]), cells)
         depart_step(state(x=1, y=4, z=2), 9, {0}, ScriptedRng([0]), cells)
-        after = receive(kept, cells[0])
+        after = receive(start, cells[0])
         assert (after.y, after.z) == (6, 2)

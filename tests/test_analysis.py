@@ -18,7 +18,7 @@ from openavg.graphs import membership_sets
 
 
 def rec(step, per_node, q, epsilon=0, x=0):
-    """Minimal record; per_node maps node -> (y, z, y_s, z_s, q_s), and
+    """Minimal record; per_node maps node -> (y, z, q_s), and
     every node declared the state value ``x``."""
     active = frozenset(per_node)
     return RoundRecord(
@@ -35,12 +35,12 @@ def rec(step, per_node, q, epsilon=0, x=0):
 
 def declared(values):
     """Node states that declared the given x values."""
-    return {v: AgentState(x, 0, 0, 0, 0, 0) for v, x in values.items()}
+    return {v: AgentState(x, 0, 0, 0) for v, x in values.items()}
 
 
 def holding(mass):
     """Node states holding the given (y, z) pairs."""
-    return {v: AgentState(0, y, z, 0, 0, 0) for v, (y, z) in mass.items()}
+    return {v: AgentState(0, y, z, 0) for v, (y, z) in mass.items()}
 
 
 def fraction_reference(mass, average):
@@ -116,10 +116,10 @@ class TestConvergenceTime:
     def test_settles_in_band(self):
         q = Fraction(5, 2)
         trace = [
-            rec(0, {0: (0, 0, 0, 0, 9), 1: (0, 0, 0, 0, 0)}, q),
-            rec(1, {0: (0, 0, 0, 0, 3), 1: (0, 0, 0, 0, 2)}, q),
-            rec(2, {0: (0, 0, 0, 0, 3), 1: (0, 0, 0, 0, 2)}, q),
-            rec(3, {0: (0, 0, 0, 0, 3), 1: (0, 0, 0, 0, 2)}, q),
+            rec(0, {0: (0, 0, 9), 1: (0, 0, 0)}, q),
+            rec(1, {0: (0, 0, 3), 1: (0, 0, 2)}, q),
+            rec(2, {0: (0, 0, 3), 1: (0, 0, 2)}, q),
+            rec(3, {0: (0, 0, 3), 1: (0, 0, 2)}, q),
         ]
         report = convergence_time(trace, 0)
         assert report.converged
@@ -130,7 +130,7 @@ class TestConvergenceTime:
     def test_oscillator_never_settles(self):
         q = Fraction(5, 2)
         trace = [
-            rec(k, {0: (0, 0, 0, 0, 2 if k % 2 else 3)}, q) for k in range(6)
+            rec(k, {0: (0, 0, 2 if k % 2 else 3)}, q) for k in range(6)
         ]
         report = convergence_time(trace, 0)
         assert not report.converged
@@ -138,19 +138,19 @@ class TestConvergenceTime:
 
     def test_constant_outside_band_fails(self):
         q = Fraction(5, 2)
-        trace = [rec(k, {0: (0, 0, 0, 0, 7)}, q) for k in range(4)]
+        trace = [rec(k, {0: (0, 0, 7)}, q) for k in range(4)]
         assert not convergence_time(trace, 0).converged
 
     def test_single_record_window_cannot_certify(self):
         q = Fraction(2)
-        trace = [rec(k, {0: (0, 0, 0, 0, 2)}, q) for k in range(3)]
+        trace = [rec(k, {0: (0, 0, 2)}, q) for k in range(3)]
         assert not convergence_time(trace, 2).converged
         assert convergence_time(trace, 1).converged
 
     def test_window_starts_at_from_step(self):
         q = Fraction(2)
-        per = {0: (0, 0, 0, 0, 2)}
-        noisy = {0: (0, 0, 0, 0, 9)}
+        per = {0: (0, 0, 2)}
+        noisy = {0: (0, 0, 9)}
         trace = [rec(0, noisy, q), rec(1, per, q), rec(2, per, q), rec(3, per, q)]
         report = convergence_time(trace, 1)
         assert report.converged
@@ -158,7 +158,7 @@ class TestConvergenceTime:
 
     def test_extending_horizon_never_moves_settle_earlier(self):
         q = Fraction(2)
-        flip = lambda k: {0: (0, 0, 0, 0, 2 if k != 2 else 1)}
+        flip = lambda k: {0: (0, 0, 2 if k != 2 else 1)}
         short = [rec(k, flip(k), q) for k in range(5)]
         longer = short + [rec(5, flip(5), q), rec(6, flip(6), q)]
         a = convergence_time(short, 0)
@@ -169,14 +169,14 @@ class TestConvergenceTime:
     def test_membership_change_in_window_is_an_error(self):
         q = Fraction(2)
         trace = [
-            rec(0, {0: (0, 0, 0, 0, 2)}, q),
-            rec(1, {0: (0, 0, 0, 0, 2), 1: (0, 0, 0, 0, 2)}, q),
+            rec(0, {0: (0, 0, 2)}, q),
+            rec(1, {0: (0, 0, 2), 1: (0, 0, 2)}, q),
         ]
         with pytest.raises(ValueError):
             convergence_time(trace, 0)
 
     def test_bad_from_step(self):
-        trace = [rec(0, {0: (0, 0, 0, 0, 2)}, Fraction(2))]
+        trace = [rec(0, {0: (0, 0, 2)}, Fraction(2))]
         with pytest.raises(ValueError):
             convergence_time(trace, 5)
         with pytest.raises(ValueError):
@@ -188,15 +188,15 @@ class TestConservationAudit:
         # two nodes, x sums to 4, so y must total 8 and z must total 4
         q = Fraction(2)
         trace = [
-            rec(0, {0: (6, 2, 0, 0, 0), 1: (2, 2, 0, 0, 0)}, q, x=2),
-            rec(1, {0: (5, 1, 0, 0, 0), 1: (3, 3, 0, 0, 0)}, q, x=2),
+            rec(0, {0: (6, 2, 0), 1: (2, 2, 0)}, q, x=2),
+            rec(1, {0: (5, 1, 0), 1: (3, 3, 0)}, q, x=2),
         ]
         rows = conservation_audit(trace)
         assert all(r.y_imbalance == 0 and r.z_imbalance == 0 for r in rows)
 
     def test_losses_show_up_signed(self):
         q = Fraction(2)
-        trace = [rec(0, {0: (5, 1, 0, 0, 0), 1: (2, 2, 0, 0, 0)}, q, x=2)]
+        trace = [rec(0, {0: (5, 1, 0), 1: (2, 2, 0)}, q, x=2)]
         (row,) = conservation_audit(trace)
         assert row.y_imbalance == -1
         assert row.z_imbalance == -1

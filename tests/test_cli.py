@@ -33,6 +33,31 @@ class TestValidateCommand:
         path.write_text('{"n_total": ' + "1" * 5000 + "}")
         assert invoke("validate", str(path)) == 2
 
+    def test_nesting_too_deep_to_decode(self, tmp_path, capsys):
+        # json recurses once per nesting level and raises RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert invoke("validate", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "cannot load scenario" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("static_small.json", '"p": 0.5', '"p": NaN'),
+            ("paper_sec5.json", '"arrival_weight": 0.5', '"arrival_weight": Infinity'),
+        ],
+        ids=["p-NaN", "arrival_weight-Infinity"],
+    )
+    def test_non_finite_number_exits_two(self, tmp_path, scenarios_dir, capsys, name, old, new):
+        text = (scenarios_dir / name).read_text()
+        assert old in text
+        path = tmp_path / name
+        path.write_text(text.replace(old, new))
+        assert invoke("validate", str(path)) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
     def test_semantic_error(self, tmp_path, scenarios_dir):
         data = json.loads((scenarios_dir / "static_small.json").read_text())
         data["k_prime"] = 1000

@@ -139,7 +139,7 @@ class TestArrivals:
     def test_arrival_effective_next_step(self):
         records = run(arrival_fixture())
         assert 2 not in records[1].per_node
-        assert records[2].per_node[2] == AgentState(x=9, y=18, z=2, y_s=18, z_s=2, q_s=9)
+        assert records[2].per_node[2] == AgentState(x=9, y=18, z=2, q_s=9)
         assert records[2].active == {0, 1, 2}
 
     def test_average_tracks_the_new_member(self):

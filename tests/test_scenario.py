@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -148,6 +149,28 @@ class TestParsing:
         path.write_text(text.replace(old, new))
         with pytest.raises(ScenarioFormatError, match="repeated key"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    @pytest.mark.parametrize(
+        "field", ["p", "event_prob", "arrival_weight", "departure_weight"]
+    )
+    def test_numbers_must_be_finite(self, field, value):
+        data = base_dict()
+        interval = {"start": 0, "end": 5, "event_prob": 0.5}
+        data["churn"] = {"type": "stochastic", "intervals": [interval]}
+        if field == "p":
+            data["topology"]["stable"][0]["p"] = value
+            where = r"topology\.stable\[0\]\.p"
+        else:
+            interval[field] = value
+            where = rf"churn\.intervals\[0\]\.{field}"
+        with pytest.raises(
+            ScenarioFormatError, match=rf"^scenario\.{where}: expected a finite number$"
+        ):
+            parse_scenario(data)
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ScenarioFormatError):
