@@ -169,27 +169,42 @@ def is_strongly_connected(g: DigraphInstance) -> bool:
     return len(strongly_connected_components(g)) == 1
 
 
-def _choice(m: int, take: int, draws: IntegerDraws) -> list[int]:
-    """numpy 2.4.6's ``Generator.choice(m, take, replace=False)``, one draw
-    at a time: the picks, and the draws consumed, are numpy's for the same
-    generator. A range of one value consumes no draw, as in ``integers``."""
-    if m > 10000 and take > m // 50:
-        # Tail shuffle; position -> value, for the positions the swaps moved.
+def _tail_shuffle(m: int, take: int) -> bool:
+    """Whether numpy 2.4.6's ``choice(m, take, replace=False)`` takes the
+    partial tail shuffle rather than Floyd's algorithm."""
+    return m > 10000 and take > m // 50
+
+
+def _choice_bounds(m: int, take: int) -> list[int]:
+    """The exclusive upper bounds of the draws (each from 0) that numpy
+    2.4.6's ``choice(m, take, replace=False)`` makes, in order. None
+    depends on an earlier draw."""
+    if _tail_shuffle(m, take):
+        return list(range(m, max(m - take, 1), -1))
+    # Floyd's algorithm, then a shuffle of the ``take`` picks.
+    return [*range(m - take + 1, m + 1), *range(take, 1, -1)]
+
+
+def _choice(m: int, take: int, values: Iterator[int]) -> list[int]:
+    """numpy 2.4.6's ``Generator.choice(m, take, replace=False)``, replayed
+    on ``values`` drawn within ``_choice_bounds(m, take)``: it consumes
+    one value per bound, and its picks are numpy's for those draws."""
+    if _tail_shuffle(m, take):
+        # Position -> value, for the positions the swaps moved.
         moved: dict[int, int] = {}
         for i in range(m - 1, max(m - take, 1) - 1, -1):
-            j = int(draws.integers(0, i + 1))
+            j = next(values)
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
         return [moved.get(i, i) for i in range(m - take, m)]
-    # Floyd's algorithm, then a shuffle of the ``take`` picks.
     picks: list[int] = []
     seen: set[int] = set()
     for j in range(m - take, m):
-        value = int(draws.integers(0, j + 1))
+        value = next(values)
         pick = j if value in seen else value
         seen.add(pick)
         picks.append(pick)
     for i in range(take - 1, 0, -1):
-        j = int(draws.integers(0, i + 1))
+        j = next(values)
         picks[i], picks[j] = picks[j], picks[i]
     return picks
 
@@ -202,19 +217,22 @@ def random_out_degree_instance(
 
     Node by node in sorted order, the picks and the generator state
     afterwards are those of ``rng.choice(n - 1, size=take, replace=False)``
-    over the other nodes, with ``take`` the capped degree.
+    over the other nodes, with ``take`` the capped degree. Every node's
+    draws have the same bounds, so all of them come from one ``integers``
+    call.
     """
     ordered = sorted(set(nodes))
     if not ordered:
         raise ValueError("need at least one node")
     m = len(ordered) - 1
     take = min(min_out_degree, m)
+    values = iter(rng.integers(0, _choice_bounds(m, take) * len(ordered)))
     # Index i draws from the n-1 nodes other than v, in sorted order:
     # those before v keep their index, those after it shift by one.
     edges = {
         (v, ordered[i if i < pos else i + 1])
         for pos, v in enumerate(ordered)
-        for i in _choice(m, take, rng)
+        for i in _choice(m, take, values)
     }
     return DigraphInstance(nodes=frozenset(ordered), edges=frozenset(edges))
 

@@ -10,15 +10,23 @@ A stream replays numpy's ``default_rng(SeedSequence(key words))`` bit for
 bit, in Python:
 
 - the ``SeedSequence`` mixing is computed here, with the pool after the
-  key's head (every part but the last) cached, and the part of the mix
-  that the first three 32-bit words fix cached for shorter heads;
+  key's head (every part but the last) cached, so that seeding a stream
+  absorbs only its last part's one or two 32-bit words, inline; the part
+  of the mix that the first three 32-bit words fix is cached for shorter
+  heads;
 - the four seed words feed numpy's PCG64 (O'Neill 2014), a 128-bit LCG
   with XSL-RR output, seeded as numpy's ``pcg64_set_seed`` seeds it;
 - ``integers`` is numpy's ``random_bounded_uint64_fill`` for one value:
   Lemire's rejection (Lemire 2019) on a 32-bit word, with the spare upper
   half of a 64-bit word kept between calls as numpy's ``has_uint32``
   keeps it, or on a 64-bit word for wider ranges; ``random`` is numpy's
-  ``next_double``.
+  ``next_double``;
+- ``integers(low, highs)`` with a sequence of bounds is numpy's
+  ``integers(low, high_array)``, which draws each element with
+  ``random_bounded_uint64``: one value per bound, equal to (and leaving
+  the state of) the same scalar calls in order, drawn in one Python call
+  with the generator in locals. A random instance's draws are one such
+  batch, as none of their bounds depends on an earlier draw.
 
 A stream seeds itself on its first draw, so a holder that never draws
 never pays for the mixing. Every draw of a run, random instance families
@@ -32,15 +40,18 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Protocol
+from typing import Protocol, Sequence, overload
 
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-# numpy's PCG64 LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), and the
-# step of ``Generator.random``'s 53-bit grid.
+# numpy's PCG64 LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), the step
+# of ``Generator.random``'s 53-bit grid, and the factor whose product
+# with a 64-bit x is x twice over, so that ``x * _ROTATE >> r & _MASK64``
+# rotates x right by r < 64 bits (XSL-RR's rotation).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_ROTATE = (1 << 64) + 1
 _2_POW_M53 = 1.0 / (1 << 53)
 
 # Subsystem tags. Strings are hashed into the seed material, so renaming
@@ -133,22 +144,12 @@ def _absorb(
     pool: tuple[int, int, int, int], word: int, a: tuple[int, ...], i: int
 ) -> tuple[int, int, int, int]:
     """Mix an entropy word past the pool's first four into each pool word,
-    with the hashmix constants ``a[i:i + 5]``; ``_hashmix`` and
-    ``_mixed`` are inlined, as this runs for almost every stream."""
-    p0, p1, p2, p3 = pool
-    h = (word ^ a[i]) * a[i + 1] & _MASK32
-    h ^= h >> 16
-    p0 = (_MIX_L * p0 - _MIX_R * h) & _MASK32
-    h = (word ^ a[i + 1]) * a[i + 2] & _MASK32
-    h ^= h >> 16
-    p1 = (_MIX_L * p1 - _MIX_R * h) & _MASK32
-    h = (word ^ a[i + 2]) * a[i + 3] & _MASK32
-    h ^= h >> 16
-    p2 = (_MIX_L * p2 - _MIX_R * h) & _MASK32
-    h = (word ^ a[i + 3]) * a[i + 4] & _MASK32
-    h ^= h >> 16
-    p3 = (_MIX_L * p3 - _MIX_R * h) & _MASK32
-    return p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3 ^ p3 >> 16
+    with the hashmix constants ``a[i:i + 5]``."""
+    mixed = []
+    for j, x in enumerate(pool):
+        h = (word ^ a[i + j]) * a[i + j + 1] & _MASK32
+        mixed.append(_mixed(x, h ^ h >> 16))
+    return tuple(mixed)
 
 
 def _mix(words: list[int]) -> tuple[int, int, int, int]:
@@ -174,27 +175,44 @@ def _mix(words: list[int]) -> tuple[int, int, int, int]:
 @lru_cache(maxsize=256)
 def _head_pool(
     head: tuple[int | str, ...],
-) -> tuple[tuple[int, int, int, int], tuple[int, ...]] | None:
-    """The pool after the head's words, and the hash constants for the (at
-    most two) words of one more part; None when the head has fewer than
-    four words, as its words then share pool slots with the next part's."""
+) -> tuple[tuple[int, int, int, int], tuple[tuple[int, ...], ...]] | None:
+    """The pool after the head's words, and the five hash constants for
+    each of the (at most two) words of one more part; None when the head
+    has fewer than four words, as its words then share pool slots with the
+    next part's."""
     words = _key_words(head)
     if len(words) < 4:
         return None
-    return _mix(words), _hash_consts(16 + 4 * (len(words) - 4), 8)
+    a = _hash_consts(16 + 4 * (len(words) - 4), 8)
+    return _mix(words), (a[:5], a[4:])
 
 
 def _seed_words(parts: tuple[int | str, ...]) -> tuple[int, int, int, int]:
     """The four uint64 words that ``SeedSequence(key words)`` hands PCG64
-    for the key ``parts``: ``generate_state(4, uint64)``."""
+    for the key ``parts``: ``generate_state(4, uint64)``. With the head's
+    pool cached, the last part's one or two words are absorbed inline, as
+    in ``_absorb``, since this runs for almost every stream."""
     head = _head_pool(parts[:-1])
     if head is None:
-        pool = _mix(_key_words(parts))
+        p0, p1, p2, p3 = _mix(_key_words(parts))
     else:
-        pool, a = head
-        for i, word in enumerate(_key_words(parts[-1:])):
-            pool = _absorb(pool, word, a, 4 * i)
-    p0, p1, p2, p3 = pool
+        (p0, p1, p2, p3), consts = head
+        last = parts[-1]
+        x = _tag_word(last) if isinstance(last, str) else last & _MASK64
+        words = (x,) if x <= _MASK32 else (x & _MASK32, x >> 32)
+        for word, (a0, a1, a2, a3, a4) in zip(words, consts):
+            h = (word ^ a0) * a1 & _MASK32
+            p0 = (_MIX_L * p0 - _MIX_R * (h ^ h >> 16)) & _MASK32
+            h = (word ^ a1) * a2 & _MASK32
+            p1 = (_MIX_L * p1 - _MIX_R * (h ^ h >> 16)) & _MASK32
+            h = (word ^ a2) * a3 & _MASK32
+            p2 = (_MIX_L * p2 - _MIX_R * (h ^ h >> 16)) & _MASK32
+            h = (word ^ a3) * a4 & _MASK32
+            p3 = (_MIX_L * p3 - _MIX_R * (h ^ h >> 16)) & _MASK32
+            p0 ^= p0 >> 16
+            p1 ^= p1 >> 16
+            p2 ^= p2 >> 16
+            p3 ^= p3 >> 16
     # Eight 32-bit words cycling over the pool, paired low word first.
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = _B
     s0 = (p0 ^ b0) * b1 & _MASK32
@@ -215,11 +233,16 @@ def _seed_words(parts: tuple[int | str, ...]) -> tuple[int, int, int, int]:
 
 class IntegerDraws(Protocol):
     """The one RNG method the agent and family draws need: a uniform int in
-    [low, high). A ``Stream`` returns Python ints; a numpy ``Generator``
-    seeded the same way draws the same values as numpy ints, so callers
-    pass each draw through ``int``."""
+    [low, high), or one per bound for a sequence of bounds, as numpy's
+    ``Generator.integers`` draws them. A ``Stream`` returns Python ints
+    and lists; a numpy ``Generator`` seeded the same way draws the same
+    values as numpy ints and arrays, which index and compare as ints do."""
 
+    @overload
     def integers(self, low: int, high: int) -> int: ...
+
+    @overload
+    def integers(self, low: int, high: Sequence[int]) -> Sequence[int]: ...
 
 
 class Stream:
@@ -253,8 +276,7 @@ class Stream:
         state = (self._state * _PCG_MULT + self._inc) & _MASK128
         self._state = state
         x = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        return (x >> rot | x << (64 - rot)) & _MASK64
+        return x * _ROTATE >> (state >> 122) & _MASK64
 
     def _next32(self) -> int:
         """The low half of a fresh 64-bit word, or the high half that the
@@ -267,14 +289,29 @@ class Stream:
         self._uinteger = word >> 32
         return word & _MASK32
 
-    def integers(self, low: int, high: int) -> int:
+    @overload
+    def integers(self, low: int, high: int) -> int: ...
+
+    @overload
+    def integers(self, low: int, high: Sequence[int]) -> list[int]: ...
+
+    def integers(self, low, high):
         """A uniform int in ``[low, high)``, as numpy's
         ``Generator.integers(low, high)`` draws it (int64 bounds): no
         draw when the range holds one value, else Lemire's rejection on
         a 32-bit word when the range fits one, on a 64-bit word otherwise.
         At a range of exactly 2**32 or 2**64 Lemire's method returns the
-        raw word, which is what numpy draws there."""
-        if not -(1 << 63) <= low < high <= 1 << 63:
+        raw word, which is what numpy draws there.
+
+        ``high`` may also be a sequence of bounds: then the result is a
+        list with one draw per bound, as ``integers(low, high_array)``
+        draws them, equal to (and leaving the state of) the same scalar
+        calls in order."""
+        try:
+            in_range = -(1 << 63) <= low < high <= 1 << 63
+        except TypeError:  # int < sequence: one draw per bound
+            return self._integers_each(low, high)
+        if not in_range:
             raise ValueError(f"need -2**63 <= low < high <= 2**63, got [{low}, {high})")
         span = high - low
         if span <= 1 << 32:
@@ -292,6 +329,54 @@ class Stream:
             while m & _MASK64 < threshold:
                 m = self._next64() * span
         return low + (m >> 64)
+
+    def _integers_each(self, low: int, highs: Sequence[int]) -> list[int]:
+        """``integers(low, high)`` for each bound in ``highs``, in order, with
+        the generator's state, increment and kept half in locals and the
+        LCG step inlined. Every bound is checked before anything is
+        drawn, as numpy checks its array."""
+        if not -(1 << 63) <= low < 1 << 63 or highs and not (
+            low < min(highs) and max(highs) <= 1 << 63
+        ):
+            raise ValueError(f"need -2**63 <= low < every high <= 2**63, got {low}, {highs}")
+        if not self._inc:
+            if max(highs, default=low) <= low + 1:
+                return [low] * len(highs)  # nothing to draw, so nothing to seed
+            self._seed()
+        state, inc = self._state, self._inc
+        has_uint32, uinteger = self._has_uint32, self._uinteger
+        out: list[int] = []
+        append = out.append
+        for high in highs:
+            span = high - low
+            if span == 1:
+                append(low)
+            elif span <= 1 << 32:
+                while True:
+                    if has_uint32:
+                        has_uint32 = 0
+                        m = uinteger * span
+                    else:
+                        state = (state * _PCG_MULT + inc) & _MASK128
+                        # The word is bits 0-63 of x; both halves are masked.
+                        x = ((state >> 64 ^ state) & _MASK64) * _ROTATE >> (state >> 122)
+                        has_uint32 = 1
+                        uinteger = x >> 32 & _MASK32
+                        m = (x & _MASK32) * span
+                    # Lemire: reject below (2**32) % span, which is < span.
+                    if m & _MASK32 >= span or m & _MASK32 >= (1 << 32) % span:
+                        break
+                append(low + (m >> 32))
+            else:
+                while True:
+                    state = (state * _PCG_MULT + inc) & _MASK128
+                    x = (state >> 64 ^ state) & _MASK64
+                    m = (x * _ROTATE >> (state >> 122) & _MASK64) * span
+                    if m & _MASK64 >= span or m & _MASK64 >= (1 << 64) % span:
+                        break
+                append(low + (m >> 64))
+        self._state, self._has_uint32, self._uinteger = state, has_uint32, uinteger
+        return out
 
     def random(self) -> float:
         """A uniform float in [0, 1), as ``Generator.random()`` draws it."""

@@ -5,7 +5,8 @@ values come from, how membership churns, how the step topologies are
 produced, the step ``k_prime`` after which membership and topology
 distribution stay fixed, the family size ``T``, and the horizon.
 
-Parsing problems (missing keys, wrong types, malformed graphs) raise
+Parsing problems (missing keys, wrong types, malformed graphs, an
+``n_total``, ``T`` or ``horizon`` above its ``MAX_*`` limit) raise
 ScenarioFormatError. Semantic problems (inconsistent churn, disconnected
 stable union, departures that would strand mass) are collected by
 validate_scenario() as findings with severities, so callers can decide
@@ -170,6 +171,13 @@ class ValidationReport:
 _T = TypeVar("_T")
 _REQUIRED: Any = object()
 
+# Upper limits on a scenario's size, checked as it is parsed, before
+# anything is built from them: the id universe, the per-step walks of
+# validation and of a run, and the instances of each random family.
+MAX_N_TOTAL = 10_000
+MAX_HORIZON = 100_000
+MAX_T = 1_000
+
 
 def _field(
     obj: dict[str, Any],
@@ -244,11 +252,11 @@ def _typed(obj: Any, where: str, what: str, parsers: dict[str, Callable[..., _T]
     return parsers[kind](obj, where)
 
 
-def _instance(obj: dict[str, Any], where: str, n_total: int) -> DigraphInstance:
+def _instance(obj: dict[str, Any], where: str, universe: frozenset[NodeId]) -> DigraphInstance:
     if "nodes" in obj:
         nodes = _field(obj, "nodes", where, _node_set)
     else:
-        nodes = frozenset(range(n_total))
+        nodes = universe
     try:
         return DigraphInstance(nodes=nodes, edges=_field(obj, "edges", where, _edge_set))
     except ValueError as exc:
@@ -314,7 +322,8 @@ def _churn(obj: Any, where: str) -> ChurnSchedule:
 
 
 def _explicit_topology(obj: dict[str, Any], where: str, n_total: int) -> ExplicitTopology:
-    instance = partial(_instance, n_total=n_total)
+    # One id set shared by every instance that lists no nodes.
+    instance = partial(_instance, universe=frozenset(range(n_total)))
     transient = _field(obj, "transient", where, _list_of(instance), [])
     raw_stable = _field(obj, "stable", where)
     if not isinstance(raw_stable, list) or not raw_stable:
@@ -337,12 +346,19 @@ def _topology(obj: Any, where: str, n_total: int) -> TopologySchedule:
     })
 
 
+def _at_most(value: Any, where: str, limit: int) -> int:
+    value = _as_int(value, where)
+    if value > limit:
+        raise ScenarioFormatError(f"{where}: {value} is above the limit of {limit}")
+    return value
+
+
 def parse_scenario(data: Any) -> Scenario:
     """Build a Scenario from already-decoded JSON data."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario: expected a JSON object at top level")
     where = "scenario"
-    n_total = _field(data, "n_total", where, _as_int)
+    n_total = _field(data, "n_total", where, partial(_at_most, limit=MAX_N_TOTAL))
     return Scenario(
         n_total=n_total,
         initially_active=_field(data, "initially_active", where, _node_set),
@@ -355,8 +371,8 @@ def parse_scenario(data: Any) -> Scenario:
         churn=_field(data, "churn", where, _churn),
         topology=_field(data, "topology", where, partial(_topology, n_total=n_total)),
         k_prime=_field(data, "k_prime", where, _as_int),
-        family_size=_field(data, "T", where, _as_int),
-        horizon=_field(data, "horizon", where, _as_int),
+        family_size=_field(data, "T", where, partial(_at_most, limit=MAX_T)),
+        horizon=_field(data, "horizon", where, partial(_at_most, limit=MAX_HORIZON)),
         seed=_field(data, "seed", where, _as_int, 0),
     )
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import openavg.cli as cli
+from openavg import scenario
 
 
 def invoke(*argv):
@@ -115,6 +116,52 @@ class TestUniformStateBounds:
         path = self.scenario(tmp_path, scenarios_dir, low, high)
         assert invoke("validate", path) == 0
         assert invoke("run", path, "--out", str(tmp_path / "out")) == 0
+
+
+class TestSizeLimits:
+    """``n_total``, ``T`` and ``horizon`` above their limits are malformed
+    input (exit 2), refused before anything is built from them."""
+
+    LIMITS = {"n_total": scenario.MAX_N_TOTAL, "T": scenario.MAX_T, "horizon": scenario.MAX_HORIZON}
+
+    def write(self, scenarios_dir, tmp_path, key, value):
+        data = json.loads((scenarios_dir / "static_small.json").read_text())
+        data[key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("key", ["n_total", "T", "horizon"])
+    def test_limit_is_accepted(self, scenarios_dir, tmp_path, key):
+        path = self.write(scenarios_dir, tmp_path, key, self.LIMITS[key])
+        loaded = scenario.load_scenario(path)
+        assert {"n_total": loaded.n_total, "T": loaded.family_size,
+                "horizon": loaded.horizon}[key] == self.LIMITS[key]
+
+    def test_horizon_at_limit_validates(self, scenarios_dir, tmp_path):
+        path = self.write(scenarios_dir, tmp_path, "horizon", scenario.MAX_HORIZON)
+        assert invoke("validate", str(path)) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["n_total", "T", "horizon"])
+    def test_above_limit_exits_two(self, scenarios_dir, tmp_path, capsys, key, command):
+        path = self.write(scenarios_dir, tmp_path, key, self.LIMITS[key] + 1)
+        argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert invoke(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"scenario.{key}: {self.LIMITS[key] + 1} is above the limit of {self.LIMITS[key]}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_instances_without_nodes_share_one_id_set(self, scenarios_dir, tmp_path):
+        data = json.loads((scenarios_dir / "static_small.json").read_text())
+        data["n_total"] = scenario.MAX_N_TOTAL
+        data["topology"]["transient"] = [{"edges": [[0, 1]]}] * 50
+        path = tmp_path / "transient.json"
+        path.write_text(json.dumps(data))
+        transient = scenario.load_scenario(path).topology.transient
+        assert len(transient[0].nodes) == scenario.MAX_N_TOTAL
+        assert all(g.nodes is transient[0].nodes for g in transient)
 
 
 class TestRunCommand:

@@ -8,6 +8,7 @@ from openavg import rng
 from openavg.graphs import (
     DigraphInstance,
     _choice,
+    _choice_bounds,
     directed_cycle,
     generate_instance_family,
     is_strongly_connected,
@@ -269,10 +270,11 @@ class TestIndexedDraws:
 
 
 class TestChoiceReplay:
-    """One node's draws: ``_choice`` on an ``rng.Stream`` against numpy's
-    ``Generator.choice(m, take, replace=False)`` on the generator the
-    stream replays. The sizes cover Floyd's algorithm (m <= 10000 or
-    take <= m // 50) and the tail shuffle (m > 10000 and take > m // 50)."""
+    """One node's draws: ``_choice`` on one batched ``rng.Stream`` draw
+    over ``_choice_bounds`` against numpy's ``Generator.choice(m, take,
+    replace=False)`` on the generator the stream replays. The sizes cover
+    Floyd's algorithm (m <= 10000 or take <= m // 50) and the tail shuffle
+    (m > 10000 and take > m // 50)."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 799, 10000, 10001, 10050, 20000])
     def test_replay_equals_choice(self, m):
@@ -282,7 +284,9 @@ class TestChoiceReplay:
                 stream, ref_rng = rng.stream(seed, "x"), reference(seed, "x")
                 for _ in range(3):
                     expected = ref_rng.choice(m, take, replace=False).tolist()
-                    assert _choice(m, take, stream) == expected, (take, seed)
+                    values = iter(stream.integers(0, _choice_bounds(m, take)))
+                    assert _choice(m, take, values) == expected, (take, seed)
+                    assert next(values, None) is None  # one value per bound
                 # One more draw seeds a stream that drew nothing (m = 1).
                 assert stream.integers(0, 2**40) == ref_rng.integers(0, 2**40)
                 assert pcg_state(stream) == ref_rng.bit_generator.state

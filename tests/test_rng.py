@@ -56,9 +56,14 @@ def reference(seed, *key):
 
 
 def draw(generator, call):
+    """One call on a numpy generator, in Python values: ``"random"``, a
+    scalar ``(low, high)`` or a batch ``(low, [highs])``."""
     if call == "random":
         return float(generator.random())
-    return int(generator.integers(*call))
+    low, high = call
+    if isinstance(high, list):
+        return generator.integers(low, highs_array(high)).tolist()
+    return int(generator.integers(low, high))
 
 
 def pcg_state(stream):
@@ -76,8 +81,10 @@ def assert_replays(seed, key, calls):
     got, expected = rng.stream(seed, *key), reference(seed, *key)
     for i, call in enumerate(calls):
         value = got.random() if call == "random" else got.integers(*call)
-        assert type(value) is (float if call == "random" else int)
-        assert value == draw(expected, call), (seed, key, i, call)
+        want = draw(expected, call)
+        assert value == want and type(value) is type(want), (seed, key, i, call)
+        if type(value) is list:
+            assert all(type(v) is int for v in value)
     assert pcg_state(got) == expected.bit_generator.state, (seed, key)
 
 
@@ -109,6 +116,31 @@ def test_stream_draws_equal_seed_sequence_draws():
             assert_replays(7, (rng.TAG_AGENT, step, node), [(0, 1000)] * 20)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        (5, rng.TAG_AGENT, 7, 11),  # 4-word head, one-word last part
+        (5, rng.TAG_AGENT, 7, 2**32 - 1),  # the widest one-word part
+        (5, rng.TAG_AGENT, 7, 2**32),  # 4-word head, two-word last part
+        (5, rng.TAG_AGENT, 7, 2**64 - 1),
+        (2**32, rng.TAG_AGENT, 7, 11),  # 5-word head
+        (2**64 - 1, rng.TAG_AGENT, 2**40, 2**40),  # 6-word head, two-word last
+        (5, rng.TAG_AGENT, 7, -1),  # negative: 2**64 - 1, two words
+        (5, rng.TAG_AGENT, 7, -2**63),
+        (2**32, rng.TAG_AGENT, 7, -3),
+        (5, rng.TAG_AGENT, 7, "last"),  # str: its digest, two words
+        (2**32, rng.TAG_AGENT, 7, rng.TAG_CHURN),
+        (5, rng.TAG_CHURN, 9),  # 3-word head: the whole key is mixed
+        (5, rng.TAG_CHURN, -9),
+        (5,),
+    ],
+)
+def test_seed_words_equal_seed_sequence(key):
+    expected = np.random.SeedSequence(key_words(key)).generate_state(4, np.uint64)
+    assert rng._seed_words(key) == tuple(int(w) for w in expected)
+    assert rng._seed_words(key) == tuple(int(w) for w in expected)  # cached head
+
+
 def test_long_key_equals_seed_sequence():
     key = (rng.TAG_AGENT, *range(2**31, 2**31 + 9), "x", 2**64 - 1)
     assert_replays(3, key, CALLS)
@@ -130,6 +162,88 @@ def test_seeded_on_first_word_drawn():
     assert stream._inc == 0
     stream.integers(0, 2)
     assert stream._inc % 2 == 1
+
+
+def highs_array(highs):
+    """``highs`` as an int64 bounds array, or an object array when a bound
+    is 2**63 or more (a list would become float64, and lose the bound)."""
+    return np.array(highs, dtype=object if max(highs, default=0) >= 2**63 else np.int64)
+
+
+# Spans of every class: one value (no draw), 32-bit Lemire (2, 3,
+# 2**31 + 1, the widest 2**32 - 1), the raw 32-bit word (2**32) and 64-bit
+# Lemire (2**32 + 1, and 2**63, which never rejects). The raw 64-bit word
+# of the full int64 range, 2**64, is test_full_int64_range.
+BATCH_SPANS = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63]
+
+
+def assert_batch_replays(seed, calls):
+    """``assert_replays`` with batches; a last 64-bit draw seeds both
+    generators, so that their states compare."""
+    assert_replays(seed, ("batch",), [*calls, (0, 2**40)])
+
+
+class TestBatchedDraws:
+    """``integers(low, highs)`` against numpy's ``integers(low, array)``:
+    the values, and the generator state after them, including the spare
+    32-bit half carried into and out of a batch."""
+
+    @pytest.mark.parametrize("span", BATCH_SPANS)
+    @pytest.mark.parametrize("low", [0, -7, -2**62])
+    def test_one_span(self, span, low):
+        for seed in range(3):
+            assert_batch_replays(seed, [(low, [low + span] * 5), (low, [low + span] * 6)])
+
+    def test_full_int64_range(self):
+        assert_batch_replays(1, [(-2**63, [2**63, 2**63, 5, 2**63])])
+
+    def test_empty_draws_nothing(self):
+        stream = rng.stream(1, "batch")
+        assert stream.integers(0, []) == []
+        assert stream._inc == 0
+        assert_batch_replays(2, [(0, []), (3, [])])
+
+    def test_one_value_spans_draw_nothing(self):
+        stream = rng.stream(1, "batch")
+        assert stream.integers(4, [5, 5, 5]) == [4, 4, 4]
+        assert stream._inc == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_spans(self, seed):
+        highs = [s for s in BATCH_SPANS if s < 2**63] * 3 + [2, 3, 99, 100, 1, 2]
+        assert_batch_replays(seed, [(0, highs), (-5, [h - 5 for h in reversed(highs)])])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spare_half_carried_across_batches(self, seed):
+        # An odd number of 32-bit draws leaves a spare half for the next
+        # call, scalar or batched; a 64-bit draw leaves it in place.
+        assert_batch_replays(seed, [
+            (0, 3), (0, [5, 2**40, 7]), (0, 9), (0, [3]), (0, [4, 4]),
+            (0, 2**33), (0, [6]), (0, 11), (0, [2, 2, 2**32 - 1]), (0, 5),
+        ])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_family_bounds_equal_scalar_calls(self, seed):
+        # The bounds one random instance draws: Floyd's, then its shuffle's.
+        highs = [99, 100, 2] * 40
+        batch, scalar = rng.stream(seed, "batch"), rng.stream(seed, "batch")
+        assert batch.integers(0, highs) == [scalar.integers(0, h) for h in highs]
+        assert pcg_state(batch) == pcg_state(scalar)
+
+    @pytest.mark.parametrize(
+        "low, highs",
+        [
+            (3, [3]), (4, [5, 3]), (0, [0]), (0, [2, -1]), (-2**63 - 1, [0]),
+            (0, [5, 2**63 + 1]), (-2**70, [5]), (-2**64, []), (2**63, []),
+        ],
+    )
+    def test_bounds_numpy_refuses_raise(self, low, highs):
+        with pytest.raises(ValueError):
+            reference(1, "x").integers(low, highs_array(highs))
+        stream = rng.stream(1, "x")
+        with pytest.raises(ValueError):
+            stream.integers(low, highs)
+        assert stream._inc == 0  # nothing drawn before the check
 
 
 spans = st.one_of(
@@ -157,6 +271,19 @@ bounds = st.one_of(
 def test_random_bound_sequences_equal_numpy(seed, key, calls):
     calls = [(0, 2)] + calls  # seed both, so that their states compare
     assert_replays(seed, tuple(key), calls)
+
+
+batches = st.builds(
+    lambda low, spans: (low, [min(low + span, 2**63) for span in spans]),
+    st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-100, 100)),
+    st.lists(spans, max_size=12),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=st.lists(st.one_of(bounds, batches), max_size=12))
+def test_random_batches_equal_numpy(seed, calls):
+    assert_batch_replays(seed, calls)
 
 
 def _run_python(code, cwd=None):
