@@ -19,7 +19,7 @@ negative values; do not "optimize" it to C-style truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, MutableMapping, NamedTuple
+from typing import Collection, MutableMapping, NamedTuple
 
 from .rng import IntegerDraws
 
@@ -110,7 +110,7 @@ def init_active(x: int) -> AgentState:
 def remaining_step(
     state: AgentState,
     node: int,
-    targets: AbstractSet[int],
+    targets: Collection[int],
     rng: IntegerDraws,
     cells: Cells,
 ) -> None:
@@ -140,7 +140,7 @@ def remaining_step(
 def depart_step(
     state: AgentState,
     node: int,
-    targets: AbstractSet[int],
+    targets: Collection[int],
     rng: IntegerDraws,
     cells: Cells,
 ) -> Surplus:

@@ -35,7 +35,6 @@ from .graphs import (
     MembershipSets,
     generate_instance_family,
     membership_sets,
-    out_adjacency,
     out_neighbors,  # noqa: F401  (perfbench's tests trace it through this name)
 )
 from .scenario import (
@@ -278,9 +277,9 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         # Cells only sum integers, so the ascending order matters only to
         # the order of the violations. A node's agent stream is seeded
         # only if it draws: one holding z <= 1 tokens splits nothing.
-        heads = out_adjacency(instance)
+        remaining = membership.remaining
         for v, state in per_node.items():
-            targets = heads[v] & membership.remaining
+            targets = [u for u in instance.heads.get(v, ()) if u in remaining]
             draws = rng.stream(seed, rng.TAG_AGENT, k, v)
             if v in membership.departing:
                 surplus = depart_step(state, v, targets, draws, cells)
@@ -292,9 +291,6 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
                     lost_z += surplus.z
             else:
                 remaining_step(state, v, targets, draws, cells)
-        # Freed before the next step builds its own, so that two steps'
-        # adjacencies are never held at once (it shows in peak memory).
-        del heads
 
         # Departers have no cell, so they drop out here.
         states = {v: receive(per_node[v], cell) for v, cell in cells.items()}

@@ -2,9 +2,11 @@
 
 The network is "open": the node set changes over time as agents arrive
 and depart, and the directed link set changes every step. A graph here
-is always a snapshot covering one time step. Membership changes between
-consecutive steps are summarized by three disjoint sets (remaining,
-arriving, departing), which is what the per-node protocol logic keys on.
+is always a snapshot covering one time step, stored as what the protocol
+reads of it: each node's out-neighbors, in ascending order. Membership
+changes between consecutive steps are summarized by three disjoint sets
+(remaining, arriving, departing), which is what the per-node protocol
+logic keys on.
 """
 
 from __future__ import annotations
@@ -19,30 +21,46 @@ NodeId = int
 
 @dataclass(frozen=True, slots=True)
 class DigraphInstance:
-    """One directed-graph snapshot: a node set plus (tail, head) edges.
+    """One directed-graph snapshot: a node set plus each node's out-neighbors.
 
-    Self-loops are implicit everywhere in the protocol (an agent can
-    always keep mass), so they are never stored; constructing an
-    instance with an explicit self-loop is a bug upstream.
+    ``heads[v]`` is the ascending tuple of the heads of the edges leaving
+    ``v``. A node with no out-edge has no key, so ``==`` is graph equality
+    and an instance costs nothing per isolated node. Self-loops are
+    implicit everywhere in the protocol (an agent can always keep mass),
+    so they are never stored. Outside input comes in through
+    ``from_edges``, the one place that checks edges; the generators below
+    build valid heads directly.
     """
 
     nodes: frozenset[NodeId]
-    edges: frozenset[tuple[NodeId, NodeId]]
+    heads: dict[NodeId, tuple[NodeId, ...]]
 
-    def __post_init__(self) -> None:
-        for tail, head in self.edges:
+    @classmethod
+    def from_edges(
+        cls, nodes: frozenset[NodeId], edges: Iterable[tuple[NodeId, NodeId]]
+    ) -> "DigraphInstance":
+        """The instance on ``nodes`` (kept as given) with these (tail, head)
+        edges. A self-loop or an edge leaving the node set is a ValueError."""
+        heads: dict[NodeId, set[NodeId]] = {}
+        for tail, head in edges:
             if tail == head:
                 raise ValueError(f"self-loop ({tail},{head}) must not be stored")
-            if tail not in self.nodes or head not in self.nodes:
+            if tail not in nodes or head not in nodes:
                 raise ValueError(f"edge ({tail},{head}) leaves the node set")
+            heads.setdefault(tail, set()).add(head)
+        return cls(nodes, {v: tuple(sorted(hs)) for v, hs in heads.items()})
+
+    @property
+    def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The (tail, head) pairs of the instance."""
+        return frozenset((v, h) for v, hs in self.heads.items() for h in hs)
 
     def restricted_to(self, active: frozenset[NodeId]) -> "DigraphInstance":
         """Instance covering exactly ``active``: edges touching other nodes
         are dropped, and active nodes this instance omits become isolated."""
-        return DigraphInstance(
-            nodes=active,
-            edges=frozenset((a, b) for a, b in self.edges if a in active and b in active),
-        )
+        kept = {v: tuple(h for h in hs if h in active)
+                for v, hs in self.heads.items() if v in active}
+        return DigraphInstance(active, {v: hs for v, hs in kept.items() if hs})
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,21 +91,11 @@ def membership_sets(
     )
 
 
-def out_adjacency(g: DigraphInstance) -> dict[NodeId, set[NodeId]]:
-    """Heads of the edges leaving each node, with every node of ``g`` as a
-    key. One pass over the edges, so a caller that needs many nodes'
-    out-neighbors builds this once instead of scanning per node."""
-    heads: dict[NodeId, set[NodeId]] = {v: set() for v in g.nodes}
-    for a, b in g.edges:
-        heads[a].add(b)
-    return heads
-
-
 def out_neighbors(g: DigraphInstance, v: NodeId) -> frozenset[NodeId]:
     """Heads of edges leaving ``v``. ``v`` itself is never included."""
     if v not in g.nodes:
         raise KeyError(f"node {v} not in instance")
-    return frozenset(out_adjacency(g)[v])
+    return frozenset(g.heads.get(v, ()))
 
 
 def union_digraph(instances: Iterable[DigraphInstance]) -> DigraphInstance:
@@ -96,13 +104,13 @@ def union_digraph(instances: Iterable[DigraphInstance]) -> DigraphInstance:
     if not instances:
         raise ValueError("empty instance family")
     nodes = instances[0].nodes
-    for g in instances[1:]:
+    merged: dict[NodeId, list[NodeId]] = {}
+    for g in instances:
         if g.nodes != nodes:
             raise ValueError("instances span different node sets")
-    edges: set[tuple[NodeId, NodeId]] = set()
-    for g in instances:
-        edges |= g.edges
-    return DigraphInstance(nodes=nodes, edges=frozenset(edges))
+        for v, hs in g.heads.items():
+            merged.setdefault(v, []).extend(hs)
+    return DigraphInstance(nodes, {v: tuple(sorted(set(hs))) for v, hs in merged.items()})
 
 
 def strongly_connected_components(g: DigraphInstance) -> list[frozenset[NodeId]]:
@@ -111,7 +119,6 @@ def strongly_connected_components(g: DigraphInstance) -> list[frozenset[NodeId]]
     Components come back in reverse topological order of the condensation;
     callers that only care about counts can ignore that.
     """
-    adjacency = out_adjacency(g)
     index_of: dict[NodeId, int] = {}
     lowlink: dict[NodeId, int] = {}
     on_stack: set[NodeId] = set()
@@ -123,7 +130,7 @@ def strongly_connected_components(g: DigraphInstance) -> list[frozenset[NodeId]]
         if root in index_of:
             continue
         # Each frame is (node, iterator over its successors).
-        work: list[tuple[NodeId, Iterator[NodeId]]] = [(root, iter(adjacency[root]))]
+        work: list[tuple[NodeId, Iterator[NodeId]]] = [(root, iter(g.heads.get(root, ())))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -137,7 +144,7 @@ def strongly_connected_components(g: DigraphInstance) -> list[frozenset[NodeId]]
                     counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(adjacency[w])))
+                    work.append((w, iter(g.heads.get(w, ()))))
                     advanced = True
                     break
                 if w in on_stack:
@@ -227,25 +234,23 @@ def random_out_degree_instance(
     m = len(ordered) - 1
     take = min(min_out_degree, m)
     values = iter(rng.integers(0, _choice_bounds(m, take) * len(ordered)))
+    if take < 1:  # no node has a head, and no empty tuple is stored
+        return DigraphInstance(frozenset(ordered), {})
     # Index i draws from the n-1 nodes other than v, in sorted order:
     # those before v keep their index, those after it shift by one.
-    edges = {
-        (v, ordered[i if i < pos else i + 1])
-        for pos, v in enumerate(ordered)
-        for i in _choice(m, take, values)
-    }
-    return DigraphInstance(nodes=frozenset(ordered), edges=frozenset(edges))
+    heads = {}
+    for pos, v in enumerate(ordered):
+        picks = _choice(m, take, values)
+        picks.sort()
+        heads[v] = tuple([ordered[i if i < pos else i + 1] for i in picks])
+    return DigraphInstance(frozenset(ordered), heads)
 
 
 def directed_cycle(nodes: Iterable[NodeId]) -> DigraphInstance:
     """Single directed ring over the sorted node sequence."""
     ordered = sorted(set(nodes))
-    if len(ordered) < 2:
-        return DigraphInstance(nodes=frozenset(ordered), edges=frozenset())
-    edges = {
-        (ordered[i], ordered[(i + 1) % len(ordered)]) for i in range(len(ordered))
-    }
-    return DigraphInstance(nodes=frozenset(ordered), edges=frozenset(edges))
+    heads = {v: (w,) for v, w in zip(ordered, ordered[1:] + ordered[:1]) if v != w}
+    return DigraphInstance(frozenset(ordered), heads)
 
 
 def generate_instance_family(
@@ -275,8 +280,5 @@ def generate_instance_family(
         ]
         if is_strongly_connected(union_digraph(family)):
             return family
-    ring = directed_cycle(ordered)
-    family[-1] = DigraphInstance(
-        nodes=family[-1].nodes, edges=family[-1].edges | ring.edges
-    )
+    family[-1] = union_digraph([family[-1], directed_cycle(ordered)])
     return family

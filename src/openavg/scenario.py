@@ -6,11 +6,11 @@ produced, the step ``k_prime`` after which membership and topology
 distribution stay fixed, the family size ``T``, and the horizon.
 
 Parsing problems (missing keys, wrong types, malformed graphs, an
-``n_total``, ``T`` or ``horizon`` above its ``MAX_*`` limit) raise
-ScenarioFormatError. Semantic problems (inconsistent churn, disconnected
-stable union, departures that would strand mass) are collected by
-validate_scenario() as findings with severities, so callers can decide
-how hard to fail.
+``n_total``, ``T``, ``horizon`` or random family size above its
+``MAX_*`` limit) raise ScenarioFormatError. Semantic problems
+(inconsistent churn, disconnected stable union, departures that would
+strand mass) are collected by validate_scenario() as findings with
+severities, so callers can decide how hard to fail.
 """
 
 from __future__ import annotations
@@ -173,10 +173,12 @@ _REQUIRED: Any = object()
 
 # Upper limits on a scenario's size, checked as it is parsed, before
 # anything is built from them: the id universe, the per-step walks of
-# validation and of a run, and the instances of each random family.
+# validation and of a run, and the instances and edges of each random
+# family (n_total * T * min(min_out_degree, n_total - 1) at most).
 MAX_N_TOTAL = 10_000
 MAX_HORIZON = 100_000
 MAX_T = 1_000
+MAX_FAMILY_EDGES = 1_000_000
 
 
 def _field(
@@ -216,15 +218,15 @@ def _node_set(value: Any, where: str) -> frozenset[NodeId]:
     return frozenset(_as_int(v, where) for v in value)
 
 
-def _edge_set(value: Any, where: str) -> frozenset[tuple[NodeId, NodeId]]:
+def _edge_list(value: Any, where: str) -> list[tuple[NodeId, NodeId]]:
     if not isinstance(value, list):
         raise ScenarioFormatError(f"{where}: expected a list of [tail, head]")
-    edges = set()
+    edges = []
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioFormatError(f"{where}[{i}]: expected [tail, head]")
-        edges.add((_as_int(pair[0], where), _as_int(pair[1], where)))
-    return frozenset(edges)
+        edges.append((_as_int(pair[0], where), _as_int(pair[1], where)))
+    return edges
 
 
 def _entries(value: Any, where: str) -> Iterator[tuple[str, dict[str, Any]]]:
@@ -258,7 +260,7 @@ def _instance(obj: dict[str, Any], where: str, universe: frozenset[NodeId]) -> D
     else:
         nodes = universe
     try:
-        return DigraphInstance(nodes=nodes, edges=_field(obj, "edges", where, _edge_set))
+        return DigraphInstance.from_edges(nodes, _field(obj, "edges", where, _edge_list))
     except ValueError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
@@ -359,7 +361,7 @@ def parse_scenario(data: Any) -> Scenario:
         raise ScenarioFormatError("scenario: expected a JSON object at top level")
     where = "scenario"
     n_total = _field(data, "n_total", where, partial(_at_most, limit=MAX_N_TOTAL))
-    return Scenario(
+    scenario = Scenario(
         n_total=n_total,
         initially_active=_field(data, "initially_active", where, _node_set),
         initial_states=_field(data, "initial_states", where, _state_source),
@@ -375,6 +377,15 @@ def parse_scenario(data: Any) -> Scenario:
         horizon=_field(data, "horizon", where, partial(_at_most, limit=MAX_HORIZON)),
         seed=_field(data, "seed", where, _as_int, 0),
     )
+    topology = scenario.topology
+    if isinstance(topology, RandomFamilyTopology) and min(n_total, scenario.family_size) > 0:
+        edges = n_total * scenario.family_size * min(topology.min_out_degree, n_total - 1)
+        if edges > MAX_FAMILY_EDGES:
+            raise ScenarioFormatError(
+                f"{where}: a random family of n_total * T * min(min_out_degree, "
+                f"n_total - 1) = {edges} edges is above the limit of {MAX_FAMILY_EDGES}"
+            )
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

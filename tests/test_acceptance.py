@@ -180,7 +180,7 @@ def test_c5_connectivity_matches_brute_force():
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         for mask in range(1 << len(pairs)):
             edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-            inst = DigraphInstance(nodes=frozenset(range(n)), edges=edges)
+            inst = DigraphInstance.from_edges(frozenset(range(n)), edges)
             if is_strongly_connected(inst) != _brute_force_sc(inst):
                 mismatches += 1
     rng = np.random.default_rng(20240818)
@@ -193,7 +193,7 @@ def test_c5_connectivity_matches_brute_force():
             for b in range(n)
             if a != b and rng.random() < density
         )
-        inst = DigraphInstance(nodes=frozenset(range(n)), edges=edges)
+        inst = DigraphInstance.from_edges(frozenset(range(n)), edges)
         if is_strongly_connected(inst) != _brute_force_sc(inst):
             mismatches += 1
     _verdict(

@@ -4,11 +4,14 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import openavg.cli as cli
 from openavg import scenario
+from openavg.analysis import conservation_audit
+from openavg.engine import Violation, run
 
 
 def invoke(*argv):
@@ -164,6 +167,41 @@ class TestSizeLimits:
         assert all(g.nodes is transient[0].nodes for g in transient)
 
 
+class TestFamilySizeLimit:
+    """A random family holds up to n_total * T * min(min_out_degree,
+    n_total - 1) edges; above MAX_FAMILY_EDGES the scenario is malformed
+    input (exit 2), refused before any family is drawn."""
+
+    def write(self, scenarios_dir, tmp_path, n_total, T, degree):
+        data = json.loads((scenarios_dir / "static_small.json").read_text())
+        data.update(n_total=n_total, T=T)
+        data["topology"] = {"type": "random_family", "min_out_degree": degree}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_limit_validates(self, scenarios_dir, tmp_path):
+        assert scenario.MAX_FAMILY_EDGES == 10_000 * 100 * 1
+        assert invoke("validate", str(self.write(scenarios_dir, tmp_path, 10_000, 100, 1))) == 0
+
+    def test_degree_counts_only_up_to_n_minus_one(self, scenarios_dir, tmp_path):
+        path = self.write(scenarios_dir, tmp_path, 1_000, 1, 10**9)  # 1,000 x 999 edges
+        assert scenario.load_scenario(path).topology.min_out_degree == 10**9
+        path = self.write(scenarios_dir, tmp_path, 1_001, 1, 10**9)
+        with pytest.raises(scenario.ScenarioFormatError, match="= 1001000 edges"):
+            scenario.load_scenario(path)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_above_limit_exits_two(self, scenarios_dir, tmp_path, capsys, command):
+        path = self.write(scenarios_dir, tmp_path, 9_901, 101, 1)  # limit + 1
+        argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert invoke(*argv) == 2
+        err = capsys.readouterr().err
+        assert "= 1000001 edges is above the limit of 1000000" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestRunCommand:
     def test_writes_trace_per_seed(self, scenarios_dir, tmp_path, capsys):
         code = invoke(
@@ -261,6 +299,35 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert all(r["violation_count"] == "1" for r in rows)
         assert all(r["converged"] == "False" for r in rows)
+
+    @pytest.mark.parametrize("name", ["theorem1_violation", "paper_sec5", "static_small"])
+    def test_imbalance_columns_equal_the_audit(self, scenarios_dir, name):
+        # The summary reads them off the violations' losses, not the audit.
+        loaded = scenario.load_scenario(scenarios_dir / f"{name}.json")
+        imbalances = []
+        for seed in range(1, 6):
+            records = run(loaded, seed)
+            audit = conservation_audit(records)
+            summary = cli._summarize(loaded, seed, records)
+            y = max(abs(row.y_imbalance) for row in audit)
+            z = max(abs(row.z_imbalance) for row in audit)
+            assert (summary["max_abs_y_imbalance"], summary["max_abs_z_imbalance"]) == (y, z)
+            imbalances.append((y, z))
+        assert any(i != (0, 0) for i in imbalances) == (name == "theorem1_violation")
+
+    def test_imbalance_is_the_largest_running_loss_before_the_last_step(self, scenarios_dir):
+        loaded = scenario.load_scenario(scenarios_dir / "static_small.json")
+        records = run(loaded, 1)
+        last = records[-1].step
+        losses = {0: (5, 1), 1: (-8, -3), last: (100, 100)}
+        records = [
+            replace(r, violations=(Violation(0, "stranded_departure", *losses[r.step]),))
+            if r.step in losses else r
+            for r in records
+        ]
+        # Running loss (5, 1), then (-3, -2); the last step's shows in no row.
+        summary = cli._summarize(loaded, 1, records)
+        assert (summary["max_abs_y_imbalance"], summary["max_abs_z_imbalance"]) == (5, 2)
 
 
 def test_console_script_entry(scenarios_dir):

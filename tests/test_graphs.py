@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_rng import pcg_state, reference
 
 from openavg import rng
@@ -13,7 +15,6 @@ from openavg.graphs import (
     generate_instance_family,
     is_strongly_connected,
     membership_sets,
-    out_adjacency,
     out_neighbors,
     random_out_degree_instance,
     strongly_connected_components,
@@ -22,7 +23,7 @@ from openavg.graphs import (
 
 
 def g(nodes, edges):
-    return DigraphInstance(nodes=frozenset(nodes), edges=frozenset(edges))
+    return DigraphInstance.from_edges(frozenset(nodes), edges)
 
 
 class TestDigraphInstance:
@@ -157,7 +158,7 @@ class TestConnectivity:
                 for b in range(n)
                 if a != b and rng.random() < density
             )
-            inst = DigraphInstance(nodes=nodes, edges=edges)
+            inst = DigraphInstance.from_edges(nodes, edges)
             assert is_strongly_connected(inst) == brute_force_strongly_connected(inst)
 
     def test_deep_path_does_not_recurse(self):
@@ -202,11 +203,17 @@ class TestGenerators:
 
     def test_family_ring_fallback(self):
         # One attempt with out-degree 1 on 40 nodes almost never yields a
-        # strongly connected union; the fallback must still deliver one.
+        # strongly connected union; the fallback overlays the ring
+        # 0 -> 1 -> ... -> 39 -> 0 on the last member and keeps the others.
         rng = np.random.default_rng(2)
         fam = generate_instance_family(
-            range(40), count=1, min_out_degree=1, rng=rng, max_attempts=1
+            range(40), count=2, min_out_degree=1, rng=rng, max_attempts=1
         )
+        rng = np.random.default_rng(2)
+        drawn = [random_out_degree_instance(range(40), 1, rng) for _ in range(2)]
+        assert not is_strongly_connected(union_digraph(drawn))
+        ring = {(i, (i + 1) % 40) for i in range(40)}
+        assert fam == [drawn[0], g(range(40), drawn[1].edges | ring)]
         assert is_strongly_connected(union_digraph(fam))
 
     def test_family_rejects_empty(self):
@@ -255,18 +262,60 @@ class TestIndexedDraws:
             assert stream.integers(0, 2**40) == ref_rng.integers(0, 2**40)
             assert pcg_state(stream) == ref_rng.bit_generator.state
 
-    def test_adjacency_matches_edge_scan(self):
+    def test_drawn_heads_are_canonical(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 7, 30):
             inst = random_out_degree_instance(range(n), 3, rng)
-            heads = out_adjacency(inst)
-            assert heads.keys() == inst.nodes
-            for v in inst.nodes:
-                assert heads[v] == {b for a, b in inst.edges if a == v}
-                assert out_neighbors(inst, v) == heads[v]
+            # Every node of a drawn instance has min(3, n - 1) heads, so a
+            # lone node stores none and no key.
+            assert inst.heads.keys() == (inst.nodes if n > 1 else set())
+            for v, hs in inst.heads.items():
+                assert list(hs) == sorted(set(hs)) and len(hs) == min(3, n - 1)
+                assert v not in hs
+                assert out_neighbors(inst, v) == set(hs)
 
-    def test_adjacency_keeps_isolated_nodes(self):
-        assert out_adjacency(g([0, 1, 2], [(0, 1)])) == {0: {1}, 1: set(), 2: set()}
+    def test_isolated_nodes_get_no_key(self):
+        inst = g([0, 1, 2], [(0, 1)])
+        assert inst.heads == {0: (1,)}
+        assert inst == g([0, 1, 2], [(0, 1), (0, 1)])
+        assert out_neighbors(inst, 2) == set()
+
+
+def edges_on(nodes):
+    """Edge sets on ``nodes``, isolated nodes likely."""
+    pairs = [(a, b) for a in sorted(nodes) for b in sorted(nodes) if a != b]
+    return st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+
+
+class TestEdgeSetDefinitions:
+    """The stored heads against the edge-set definitions they replace."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    # Ids up to 40 make Python's set order differ from sorted order.
+    @given(nodes=st.frozensets(st.integers(0, 40), min_size=1, max_size=8), data=st.data())
+    def test_operations_match_edge_sets(self, nodes, data):
+        edges = frozenset(data.draw(edges_on(nodes)))
+        inst = g(nodes, edges)
+        assert inst.nodes is nodes and inst.edges == edges
+        # Canonical: a key only for a node with out-edges, heads ascending.
+        assert inst.heads == {
+            a: tuple(sorted(b for t, b in edges if t == a)) for a, _ in edges
+        }
+        for v in nodes:
+            assert out_neighbors(inst, v) == {b for a, b in edges if a == v}
+
+        # Active sets keep some nodes and add ids the instance omits.
+        active = frozenset(data.draw(st.sets(st.sampled_from(sorted(nodes))))
+                           | data.draw(st.sets(st.integers(41, 43))))
+        sub = inst.restricted_to(active)
+        assert sub.nodes is active
+        assert sub == g(active, {(a, b) for a, b in edges if a in active and b in active})
+
+        other = data.draw(edges_on(nodes))
+        assert union_digraph([inst, g(nodes, other)]) == g(nodes, edges | other)
+        assert union_digraph([inst]) == inst
+
+        assert is_strongly_connected(inst) == brute_force_strongly_connected(inst)
 
 
 class TestChoiceReplay:
