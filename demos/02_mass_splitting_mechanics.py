@@ -14,25 +14,41 @@ from openavg.rng import stream
 # --- the raw splitting loop ---------------------------------------------
 # Watch (y, z) = (22, 5) fall apart. Each cut takes floor(y/z) of the
 # *current* remainder, so consecutive pieces track the running ratio.
+# split_mass() adds each piece to the [y, z] sum of the candidate drawn
+# for it; the last candidate is the agent itself, which also keeps the
+# final piece.
 
-rng = stream(3, "demo")
-split = split_mass(22, 5, n_candidates=3, rng=rng)
+
+class OneCandidatePerToken:
+    """Draws 0, 1, 2, ...: token i goes to candidate i, so with one
+    candidate per token each candidate's sum is a single piece."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def integers(self, low, high):
+        self.drawn += 1
+        return self.drawn - 1
+
+
+sums = split_mass(22, 5, n_candidates=3, rng=stream(3, "demo"))
 print("input mass      (22, 5)")
-print("routed pieces   ", list(split.routed))
-print("residual        ", (split.residual_y, split.residual_z))
-print("token values    ", split.token_values())
-print("sum of values   ", sum(split.token_values()))
+print("candidate sums  ", sums)
+print("sum of sums     ", [sum(y for y, _ in sums), sum(z for _, z in sums)])
+pieces = split_mass(22, 5, n_candidates=5, rng=OneCandidatePerToken())
+print("token pieces    ", pieces)
 
 # Negative mass floors toward minus infinity, so pieces of (-22, 5) are
 # the mirror image shifted by the quantizer, still summing exactly.
-split = split_mass(-22, 5, n_candidates=3, rng=stream(3, "demo"))
+pieces = split_mass(-22, 5, n_candidates=5, rng=OneCandidatePerToken())
+values = [y for y, _ in pieces]
 print("\nnegative input  (-22, 5)")
-print("token values    ", split.token_values(), "sum", sum(split.token_values()))
+print("token values    ", values, "sum", sum(values))
 
 # --- a full protocol step ------------------------------------------------
-# remaining_step() wraps the loop for an active node: it routes pieces to
-# sorted targets with itself as the final candidate, and adds every piece
-# to its receiver's cell, an integer (y, z) sum for the step. What the
+# remaining_step() wraps the loop for an active node: it splits over its
+# sorted targets with itself as the final candidate, and adds each
+# candidate's sum to that receiver's cell, an integer (y, z) sum for the step. What the
 # node keeps goes into its own cell the same way. At the barrier,
 # receive() builds the node's next state from the state it started the
 # step with: its cell becomes the new holding, and the public estimate

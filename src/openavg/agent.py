@@ -5,7 +5,8 @@ contributions, ``z`` counts the unit tokens backing it. The agent's
 public estimate floors the ratio of the pair it began its last step with.
 At every step an agent splits its mass into single-token pieces and
 routes each piece to a uniformly chosen candidate (an out-neighbor or
-itself). Every piece, and the piece it keeps, is added into the
+itself), summing the pieces per candidate as they are drawn. Each
+candidate's sum, what the agent keeps included, is added into that
 receiver's cell: one integer (y, z) sum per remaining node for the step.
 At the synchronous barrier each remaining node's new holding is its
 cell. Sums of ``y`` and of ``z`` over the network are conserved exactly,
@@ -52,47 +53,31 @@ class Surplus(NamedTuple):
     stranded: bool
 
 
-@dataclass(frozen=True, slots=True)
-class SplitResult:
-    """Token-level outcome of the splitting loop.
+def split_mass(y: int, z: int, n_candidates: int, rng: IntegerDraws) -> list[list[int]]:
+    """Split (y, z) into z single-token pieces and sum them per candidate.
 
-    ``routed`` lists (candidate index, token value) in dispatch order.
-    ``residual_y``/``residual_z`` is what the loop left behind; it always
-    stays with the agent. After a real split residual_z == 1; when the
-    input had z <= 1 nothing is routed and the residual is the input.
-    """
-
-    routed: tuple[tuple[int, int], ...]
-    residual_y: int
-    residual_z: int
-
-    def token_values(self) -> list[int]:
-        """Values of all single-token pieces, residual included."""
-        return [v for _, v in self.routed] + [self.residual_y]
-
-
-def split_mass(y: int, z: int, n_candidates: int, rng: IntegerDraws) -> SplitResult:
-    """Split (y, z) into z single-token pieces, routing all but the last.
-
+    Returns one [y, z] sum per candidate index in range(n_candidates).
     While more than one token remains, the agent cuts off one token of
-    value floor(y/z) computed on the *current* remainder, assigns it a
-    candidate index drawn uniformly from range(n_candidates), and updates
-    the remainder. The final token keeps whatever value is left, so the
-    piece values always sum back to y exactly.
+    value floor(y/z) computed on the *current* remainder and adds it to
+    the sum of a candidate index drawn uniformly from range(n_candidates).
+    The last candidate is the agent itself: it also keeps the final
+    token, which holds whatever value is left, or the whole (y, z) when
+    z <= 1. So the sums always re-add to (y, z) exactly.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate (self)")
-    routed: list[tuple[int, int]] = []
-    cur_y, cur_z = y, z
-    remaining = z
-    while remaining > 1:
-        piece = cur_y // cur_z
-        idx = int(rng.integers(0, n_candidates))
-        routed.append((idx, piece))
-        cur_y -= piece
-        cur_z -= 1
-        remaining -= 1
-    return SplitResult(routed=tuple(routed), residual_y=cur_y, residual_z=cur_z)
+    sums = [[0, 0] for _ in range(n_candidates)]
+    while z > 1:
+        piece = y // z
+        total = sums[rng.integers(0, n_candidates)]
+        total[0] += piece
+        total[1] += 1
+        y -= piece
+        z -= 1
+    own = sums[-1]
+    own[0] += y
+    own[1] += z
+    return sums
 
 
 def init_active(x: int) -> AgentState:
@@ -117,24 +102,20 @@ def remaining_step(
     """Send phase for a node that stays active through this step.
 
     Splits the mass over the candidate list ``sorted(targets) + [self]``
-    with every candidate equally likely per token. Each routed piece adds
-    its value and one token to its receiver's cell; the residual piece
-    and the pieces drawn for self are added to the node's own cell, since
-    keeping mass is a delivery to self. The node's state is untouched:
-    receive() builds its next one at the barrier.
+    with every candidate equally likely per token, and adds each
+    candidate's [y, z] sum into that candidate's cell. What the node
+    keeps, the final piece and the pieces drawn for self, goes into its
+    own cell, since keeping mass is a delivery to self. The node's state
+    is untouched: receive() builds its next one at the barrier.
     """
     if node in targets:
         raise ValueError("self must not appear among targets")
-    own = cells[node]
-    candidates = [cells[t] for t in sorted(targets)]
-    candidates.append(own)
-    split = split_mass(state.y, state.z, len(candidates), rng)
-    own[0] += split.residual_y
-    own[1] += split.residual_z
-    for idx, value in split.routed:
-        cell = candidates[idx]
-        cell[0] += value
-        cell[1] += 1
+    receivers = sorted(targets)
+    receivers.append(node)
+    for receiver, (y, z) in zip(receivers, split_mass(state.y, state.z, len(receivers), rng)):
+        cell = cells[receiver]
+        cell[0] += y
+        cell[1] += z
 
 
 def depart_step(
@@ -159,7 +140,7 @@ def depart_step(
     if not targets:
         return Surplus(surplus_y, surplus_z, stranded=True)
     order = sorted(targets)
-    cell = cells[order[int(rng.integers(0, len(order)))]]
+    cell = cells[order[rng.integers(0, len(order))]]
     cell[0] += surplus_y
     cell[1] += surplus_z
     return Surplus(surplus_y, surplus_z, stranded=False)

@@ -5,15 +5,18 @@ findings, ``run`` simulates one or more seeds and writes traces,
 ``sweep`` runs a block of consecutive seeds and writes a summary table.
 
 Exit codes: 0 success, 1 scenario validation failure, 2 unreadable or
-malformed input, 3 internal invariant breach (the engine's conservation
-ledger or another internal check failed, which means a bug).
+malformed input, a usage error or unwritable output, 3 internal
+invariant breach (the engine's conservation ledger or another internal
+check failed, which means a bug).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .analysis import convergence_time
 from .engine import EngineInvariantError, RoundRecord, run
@@ -54,6 +57,16 @@ def _load(path: str) -> Scenario:
         raise _Exit(EXIT_INPUT) from exc
 
 
+@contextmanager
+def _writing() -> Iterator[None]:
+    """Turn a failure to create or write an output into exit code 2."""
+    try:
+        yield
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        raise _Exit(EXIT_INPUT) from exc
+
+
 def _report(scenario: Scenario) -> ValidationReport:
     """Validate and print every finding."""
     report = validate_scenario(scenario)
@@ -71,7 +84,8 @@ def _prepare(args: argparse.Namespace, strict: bool) -> Scenario:
         warnings = len(report.warnings())
         print(f"validation failed: {errors} error(s), {warnings} warning(s)")
         raise _Exit(EXIT_VALIDATION)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    with _writing():
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     return scenario
 
 
@@ -134,7 +148,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for seed in args.seed or (scenario.seed,):
         records = _checked_run(scenario, seed)
         trace_path = out_dir / f"{stem}-seed{seed}-trace.csv"
-        write_trace_csv(records, scenario.n_total, trace_path)
+        with _writing():
+            write_trace_csv(records, scenario.n_total, trace_path)
         summary = _summarize(scenario, seed, records)
         state = (
             f"settled at step {summary['settle_step']}"
@@ -149,8 +164,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.svg:
             estimates_path = out_dir / f"{stem}-seed{seed}-estimates.svg"
             error_path = out_dir / f"{stem}-seed{seed}-error.svg"
-            write_svg(render_estimates_svg(records, scenario.n_total), estimates_path)
-            write_svg(render_error_svg(records), error_path)
+            with _writing():
+                write_svg(render_estimates_svg(records, scenario.n_total), estimates_path)
+                write_svg(render_error_svg(records), error_path)
             print(f"seed {seed}: charts -> {estimates_path}, {error_path}")
     return EXIT_OK
 
@@ -162,10 +178,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed in range(scenario.seed, scenario.seed + args.seeds)
     ]
     path = Path(args.out) / f"{Path(args.scenario).stem}-sweep.csv"
-    write_summary_csv(rows, path)
+    with _writing():
+        write_summary_csv(rows, path)
     settled = sum(1 for row in rows if row["converged"])
     print(f"{settled}/{len(rows)} seeds settled, summary -> {path}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run consecutive seeds, summarize")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--seeds", type=int, required=True, help="how many seeds")
+    p_sweep.add_argument(
+        "--seeds", type=_positive_int, required=True, help="how many seeds, at least 1"
+    )
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -642,12 +642,27 @@ def _check_topology(s: Scenario, out: _Findings) -> None:
             f"T={s.family_size} but {len(topo.stable)} stable instances are listed",
         )
     if isinstance(s.churn, StochasticChurn):
-        out.add(
-            "topology-stable-nodes",
-            "warning",
-            "explicit stable instances with stochastic churn: the "
-            "post-stabilization active set is random and may not match",
-        )
+        if any(iv.event_prob > 0 and iv.start < s.k_prime for iv in s.churn.intervals):
+            out.add(
+                "topology-stable-nodes",
+                "error",
+                "explicit stable instances with stochastic churn before "
+                f"k_prime={s.k_prime}: the active set from k_prime on is random",
+            )
+        elif stable_nodes != s.initially_active:
+            # No event can fire, so membership stays initially_active.
+            _stable_nodes_error(out, stable_nodes, s.initially_active, "from k_prime on")
+
+
+def _stable_nodes_error(
+    out: _Findings, stable_nodes: frozenset[NodeId], active: frozenset[NodeId], when: str
+) -> None:
+    out.add(
+        "topology-stable-nodes",
+        "error",
+        f"stable instances cover {sorted(stable_nodes)} but the "
+        f"active set {when} is {sorted(active)}",
+    )
 
 
 def _check_departures(
@@ -668,23 +683,13 @@ def _check_departures(
     final_active = history[min(s.k_prime, len(history) - 1)]
     stable_nodes = topo.stable[0][0].nodes
     if stable_nodes != final_active:
-        out.add(
-            "topology-stable-nodes",
-            "error",
-            f"stable instances cover {sorted(stable_nodes)} but the "
-            f"active set from k_prime on is {sorted(final_active)}",
-        )
+        _stable_nodes_error(out, stable_nodes, final_active, "from k_prime on")
     else:
         # The engine draws a stable instance at every step through the
         # horizon, so churn after k_prime breaks the match at the next step.
         for k in range(s.k_prime + 1, s.horizon + 1):
             if history[k] != stable_nodes:
-                out.add(
-                    "topology-stable-nodes",
-                    "error",
-                    f"stable instances cover {sorted(stable_nodes)} but the "
-                    f"active set at step {k} is {sorted(history[k])}",
-                )
+                _stable_nodes_error(out, stable_nodes, history[k], f"at step {k}")
                 break
     for event in s.churn.events:
         k = event.step

@@ -203,25 +203,38 @@ def test_c5_connectivity_matches_brute_force():
     )
 
 
+class _OneCandidatePerToken:
+    """Draws 0, 1, 2, ...: token i of a split goes to candidate i, so
+    with z candidates each candidate's sum is one piece."""
+
+    def __init__(self):
+        self._drawn = 0
+
+    def integers(self, low, high):
+        pick = self._drawn
+        self._drawn += 1
+        assert low <= pick < high
+        return pick
+
+
 def test_c6_splitting_conserves_and_quantizes_tightly():
-    """100000 random splits: piece values and token counts re-sum to the
-    input exactly, and every piece is the floor or the floor plus one of
-    the original ratio."""
+    """100000 random splits: the per-candidate sums re-add to the input
+    exactly, and every piece is the floor or the floor plus one of the
+    original ratio."""
     rng = np.random.default_rng(900)
     failures = 0
     for _ in range(100_000):
         y = int(rng.integers(-1_000_000, 1_000_001))
         z = int(rng.integers(0, 65))
         n_candidates = int(rng.integers(1, 9))
-        split = split_mass(y, z, n_candidates, rng)
-        total_y = sum(v for _, v in split.routed) + split.residual_y
-        total_z = len(split.routed) + split.residual_z
-        if total_y != y or total_z != z:
+        sums = split_mass(y, z, n_candidates, rng)
+        if sum(s[0] for s in sums) != y or sum(s[1] for s in sums) != z:
             failures += 1
             continue
         if z >= 1:
             base = y // z
-            if any(v not in (base, base + 1) for v in split.token_values()):
+            pieces = split_mass(y, z, z, _OneCandidatePerToken())
+            if any(s[1] != 1 or s[0] not in (base, base + 1) for s in pieces):
                 failures += 1
     _verdict(
         "split conservation and piece tightness over 100000 random masses",

@@ -330,6 +330,54 @@ class TestSweepCommand:
         assert (summary["max_abs_y_imbalance"], summary["max_abs_z_imbalance"]) == (5, 2)
 
 
+class TestUnwritableOutput:
+    """A failure to create the output directory or write an output exits
+    2 with one line, never with a traceback."""
+
+    @pytest.mark.parametrize("command", [("run",), ("sweep", "--seeds", "1")])
+    def test_out_names_an_existing_file(self, scenarios_dir, tmp_path, capsys, command):
+        out = tmp_path / "some_file"
+        out.write_text("")
+        code = invoke(
+            command[0], str(scenarios_dir / "static_small.json"), *command[1:],
+            "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            (("run",), "static_small-seed7-trace.csv"),
+            (("run", "--svg"), "static_small-seed7-error.svg"),
+            (("sweep", "--seeds", "1"), "static_small-sweep.csv"),
+        ],
+        ids=["trace", "chart", "summary"],
+    )
+    def test_output_path_is_a_directory(self, scenarios_dir, tmp_path, capsys, command, blocked):
+        (tmp_path / blocked).mkdir()
+        code = invoke(
+            command[0], str(scenarios_dir / "static_small.json"), *command[1:],
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_sweep_needs_at_least_one_seed(scenarios_dir, tmp_path, capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        invoke("sweep", str(scenarios_dir / "static_small.json"),
+               "--seeds", seeds, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert f"must be at least 1, got {seeds}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_console_script_entry(scenarios_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "openavg", "validate",

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from openavg import rng
+from openavg import engine, rng
 from openavg.agent import AgentState
 from openavg.analysis import conservation_audit
 from openavg.engine import (
@@ -18,6 +18,7 @@ from openavg.engine import (
 )
 from openavg.scenario import (
     ScenarioValidationError,
+    ValidationReport,
     load_scenario,
     parse_scenario,
 )
@@ -269,8 +270,10 @@ class TestDrawTopology:
         assert len(records) == scenario.horizon + 1
         assert [k for k in drawn if k >= scenario.k_prime] == []
 
-    def test_runtime_mismatch_after_stochastic_churn(self):
-        # explicit stable instances cannot anticipate stochastic departures
+    def test_runtime_mismatch_after_stochastic_churn(self, monkeypatch):
+        # Explicit stable instances cannot anticipate stochastic departures.
+        # The validator refuses the scenario; past it, the engine's own
+        # check still catches the mismatch.
         scenario = parse_scenario({
             "n_total": 4,
             "initially_active": [0, 1, 2, 3],
@@ -291,7 +294,10 @@ class TestDrawTopology:
             "horizon": 4,
             "seed": 0,
         })
-        with pytest.raises(EngineInvariantError):
+        with pytest.raises(ScenarioValidationError, match="active set from k_prime on is random"):
+            run(scenario)
+        monkeypatch.setattr(engine, "validate_scenario", lambda s: ValidationReport(()))
+        with pytest.raises(EngineInvariantError, match="step 1: stable instance covers"):
             run(scenario)
 
 

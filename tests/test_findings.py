@@ -109,6 +109,23 @@ def stranded(step, node):
     )
 
 
+def stochastic_churn_before_k_prime():
+    """An event fires at every step before k_prime, so the active set the
+    explicit stable instances must cover is random."""
+    return variant(n_total=6, arrival_states=UNIFORM,
+                   churn=stochastic({"start": 0, "end": 2, "event_prob": 1.0}),
+                   topology=explicit_topology(base()["topology"]["stable"],
+                                              [ring([0, 1, 2, 3])] * 3),
+                   k_prime=3)
+
+
+def stochastic_churn_that_never_fires():
+    """No event can fire, so the active set stays initially_active, which
+    the stable instances do not cover."""
+    return variant(initially_active=[0, 1, 2],
+                   churn=stochastic({"start": 0, "end": 2, "event_prob": 0.0}))
+
+
 GOLDEN = {
     "size": (
         variant(n_total=0),
@@ -345,9 +362,27 @@ GOLDEN = {
                                            [ring([0, 1, 2, 3])] * 2),
                 k_prime=2, T=1),
         [
-            ("topology-stable-nodes", "warning",
-             "explicit stable instances with stochastic churn: the "
-             "post-stabilization active set is random and may not match"),
+            ("topology-stable-nodes", "error",
+             "explicit stable instances with stochastic churn before k_prime=2: "
+             "the active set from k_prime on is random"),
+            STOCHASTIC_INFO,
+        ],
+    ),
+    "topology-stable-nodes-stochastic-sure-events": (
+        stochastic_churn_before_k_prime(),
+        [
+            ("topology-stable-nodes", "error",
+             "explicit stable instances with stochastic churn before k_prime=3: "
+             "the active set from k_prime on is random"),
+            STOCHASTIC_INFO,
+        ],
+    ),
+    "topology-stable-nodes-stochastic-never-fires": (
+        stochastic_churn_that_never_fires(),
+        [
+            ("topology-stable-nodes", "error",
+             "stable instances cover [0, 1, 2, 3] but the active set from k_prime on "
+             "is [0, 1, 2]"),
             STOCHASTIC_INFO,
         ],
     ),
@@ -493,6 +528,20 @@ class TestValidatorMatchesEngine:
         assert cli.main(["validate", str(path)]) == 1
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "topology-transient" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "make", [stochastic_churn_before_k_prime, stochastic_churn_that_never_fires]
+    )
+    def test_stable_nodes_the_churn_cannot_match_are_refused(self, tmp_path, capsys, make):
+        path = tmp_path / "stochastic.json"
+        path.write_text(json.dumps(make()))
+        assert cli.main(["validate", str(path)]) == 1
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "ERROR   topology-stable-nodes" in captured.out
+        assert "invariant breach" not in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFormatErrors:
