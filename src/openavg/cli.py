@@ -5,9 +5,9 @@ findings, ``run`` simulates one or more seeds and writes traces,
 ``sweep`` runs a block of consecutive seeds and writes a summary table.
 
 Exit codes: 0 success, 1 scenario validation failure, 2 unreadable or
-malformed input, a usage error or unwritable output, 3 internal
-invariant breach (the engine's conservation ledger or another internal
-check failed, which means a bug).
+malformed input, a seed outside [0, 2**64), a usage error or unwritable
+output, 3 internal invariant breach (the engine's conservation ledger or
+another internal check failed, which means a bug).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .reporting import (
     write_trace_csv,
     write_svg,
 )
+from .rng import MAX_SEED
 from .scenario import (
     Scenario,
     ScenarioFormatError,
@@ -75,9 +76,14 @@ def _report(scenario: Scenario) -> ValidationReport:
     return report
 
 
-def _prepare(args: argparse.Namespace, strict: bool) -> Scenario:
-    """Load and gate the scenario, then create the output directory."""
+def _prepare(args: argparse.Namespace, strict: bool, seeds: int = 1) -> Scenario:
+    """Load the scenario, check that its first ``seeds`` consecutive seeds
+    exist, gate it, then create the output directory."""
     scenario = _load(args.scenario)
+    last = scenario.seed + seeds - 1
+    if last > MAX_SEED:
+        print(f"cannot sweep: seed {last} is outside [0, 2**64)", file=sys.stderr)
+        raise _Exit(EXIT_INPUT)
     report = _report(scenario)
     if not report.ok(strict=strict):
         errors = len(report.errors())
@@ -172,7 +178,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _prepare(args, strict=False)
+    scenario = _prepare(args, strict=False, seeds=args.seeds)
     rows = [
         _summarize(scenario, seed, _checked_run(scenario, seed))
         for seed in range(scenario.seed, scenario.seed + args.seeds)
@@ -185,8 +191,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    value = _integer(text)
+    if not 0 <= value <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -210,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         action="append",
         help="seed to run; repeatable, default is the scenario's seed",
     )

@@ -81,30 +81,17 @@ class RoundRecord:
     violations: tuple[Violation, ...]
 
 
-class _FamilyCache:
-    """Random-instance families keyed by active set.
-
-    The family for a given node set is derived from the seed and a
-    fingerprint of the set, never from when it is first needed, so the
-    same membership always sees the same family.
-    """
-
-    def __init__(self, scenario: Scenario, seed: int) -> None:
-        if not isinstance(scenario.topology, RandomFamilyTopology):
-            raise TypeError("family cache needs a random-family topology")
-        self._degree = scenario.topology.min_out_degree
-        self._count = scenario.family_size
-        self._seed = seed
-        self._families: dict[frozenset[int], list[DigraphInstance]] = {}
-
-    def family(self, active: frozenset[int]) -> list[DigraphInstance]:
-        if active not in self._families:
-            fingerprint = rng.node_set_fingerprint(active)
-            draws = rng.stream(self._seed, rng.TAG_TOPOLOGY_FAMILY, fingerprint)
-            self._families[active] = generate_instance_family(
-                active, self._count, self._degree, draws
-            )
-        return self._families[active]
+def _family(
+    scenario: Scenario, seed: int, active: frozenset[int]
+) -> list[DigraphInstance]:
+    """The random family of ``active``, keyed by the seed and the set's
+    fingerprint, so the same membership always sees the same family."""
+    assert isinstance(scenario.topology, RandomFamilyTopology)
+    fingerprint = rng.node_set_fingerprint(active)
+    draws = rng.stream(seed, rng.TAG_TOPOLOGY_FAMILY, fingerprint)
+    return generate_instance_family(
+        active, scenario.family_size, scenario.topology.min_out_degree, draws
+    )
 
 
 def draw_topology(
@@ -112,21 +99,20 @@ def draw_topology(
     step: int,
     active: frozenset[int],
     seed: int,
-    cache: _FamilyCache | None = None,
+    family: list[DigraphInstance] | None = None,
 ) -> DigraphInstance:
     """Directed instance in force at ``step`` over the given active set.
 
-    Random-family mode picks one family member uniformly; the family is
-    regenerated (from the same seeds) whenever the active set differs.
-    Explicit mode uses transient[step] before the stabilization step and
-    a probability-weighted stable instance afterwards. The draw for a
+    Random-family mode picks one member of ``family``, the family of
+    ``active`` (drawn here when omitted), uniformly. Explicit mode uses
+    transient[step] before the stabilization step and a
+    probability-weighted stable instance afterwards. The draw for a
     given (seed, step) does not depend on any other step's draw.
     """
     topology = scenario.topology
     if isinstance(topology, RandomFamilyTopology):
-        if cache is None:
-            cache = _FamilyCache(scenario, seed)
-        family = cache.family(active)
+        if family is None:
+            family = _family(scenario, seed, active)
         idx = rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).integers(0, len(family))
         return family[idx]
 
@@ -224,9 +210,9 @@ def _state_value(
 def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     """Simulate steps 0..horizon and return one record per step.
 
-    Refuses to run scenarios with validation errors; warnings (for
-    example a scheduled stranded departure) are allowed because those
-    runs are exactly how the failure modes are studied.
+    Refuses seeds outside [0, 2**64) and scenarios with validation
+    errors; warnings (a scheduled stranded departure, say) are allowed,
+    as those runs are exactly how the failure modes are studied.
 
     Conservation is checked after every step: the states' mass offset
     must equal minus the surplus that stranded departures destroyed so
@@ -235,18 +221,17 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     report = validate_scenario(scenario)
     if report.errors():
         raise ScenarioValidationError(report)
-    if seed is None:
-        seed = scenario.seed
+    seed = scenario.seed if seed is None else seed
+    if not 0 <= seed <= rng.MAX_SEED:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
 
     events_by_step: dict[int, ChurnEvent] = {}
     if isinstance(scenario.churn, ExplicitChurn):
         events_by_step = {e.step: e for e in scenario.churn.events}
 
-    cache = (
-        _FamilyCache(scenario, seed)
-        if isinstance(scenario.topology, RandomFamilyTopology)
-        else None
-    )
+    # Only the active set's family is held; a set that returns redraws it.
+    random_family = isinstance(scenario.topology, RandomFamilyTopology)
+    family_nodes, family = None, None
 
     states: dict[int, AgentState] = {
         v: init_active(
@@ -264,7 +249,10 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
             scenario, seed, k, active, events_by_step
         )
         membership = membership_sets(active, (active - departures) | arrivals)
-        instance = draw_topology(scenario, k, active, seed, cache)
+        if random_family and active != family_nodes:
+            family = None  # freed before the next one is drawn
+            family_nodes, family = active, _family(scenario, seed, active)
+        instance = draw_topology(scenario, k, active, seed, family)
 
         per_node = dict(sorted(states.items()))
         average = true_average(per_node)

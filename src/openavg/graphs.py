@@ -18,6 +18,9 @@ from .rng import IntegerDraws
 
 NodeId = int
 
+# Family draws tried before the ring fallback of generate_instance_family.
+FAMILY_ATTEMPTS = 64
+
 
 @dataclass(frozen=True, slots=True)
 class DigraphInstance:
@@ -258,11 +261,10 @@ def generate_instance_family(
     count: int,
     min_out_degree: int,
     rng: IntegerDraws,
-    max_attempts: int = 64,
 ) -> list[DigraphInstance]:
     """Draw ``count`` random instances whose union is strongly connected.
 
-    Redraws the whole family up to ``max_attempts`` times; if every
+    Redraws the whole family up to ``FAMILY_ATTEMPTS`` times; if every
     attempt fails (tiny degree on a large node set can do that) the last
     family is patched by overlaying a directed ring on its final member,
     which makes the union strongly connected by construction.
@@ -270,10 +272,8 @@ def generate_instance_family(
     ordered = sorted(set(nodes))
     if count < 1:
         raise ValueError("family needs at least one instance")
-    if max_attempts < 1:
-        raise ValueError("need at least one attempt")
     family: list[DigraphInstance] = []
-    for _ in range(max_attempts):
+    for _ in range(FAMILY_ATTEMPTS):
         family = [
             random_out_degree_instance(ordered, min_out_degree, rng)
             for _ in range(count)

@@ -63,6 +63,10 @@ TAG_TOPOLOGY_FAMILY = "topology-family"
 TAG_TOPOLOGY_DRAW = "topology-draw"
 TAG_AGENT = "agent"
 
+# A run's seed is one 64-bit key word, and an int key part is read modulo
+# 2**64, so seeds are refused outside [0, MAX_SEED] rather than aliased.
+MAX_SEED = (1 << 64) - 1
+
 # SeedSequence's constants (numpy/random/bit_generator.pyx, pool size 4).
 # Its hash constant is multiplied by _MULT_A at every hashmix call and by
 # _MULT_B at every output word, whatever the data, so the constant of the

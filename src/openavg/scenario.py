@@ -7,10 +7,10 @@ distribution stay fixed, the family size ``T``, and the horizon.
 
 Parsing problems (missing keys, wrong types, malformed graphs, an
 ``n_total``, ``T``, ``horizon`` or random family size above its
-``MAX_*`` limit) raise ScenarioFormatError. Semantic problems
-(inconsistent churn, disconnected stable union, departures that would
-strand mass) are collected by validate_scenario() as findings with
-severities, so callers can decide how hard to fail.
+``MAX_*`` limit, a seed outside [0, 2**64)) raise ScenarioFormatError.
+Semantic problems (inconsistent churn, disconnected stable union,
+departures that would strand mass) are collected by validate_scenario()
+as findings with severities, so callers can decide how hard to fail.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .graphs import (
     out_neighbors,
     union_digraph,
 )
+from .rng import MAX_SEED
 
 
 class ScenarioFormatError(Exception):
@@ -355,6 +356,13 @@ def _at_most(value: Any, where: str, limit: int) -> int:
     return value
 
 
+def _seed(value: Any, where: str) -> int:
+    value = _as_int(value, where)
+    if not 0 <= value <= MAX_SEED:
+        raise ScenarioFormatError(f"{where}: {value} is outside [0, 2**64)")
+    return value
+
+
 def parse_scenario(data: Any) -> Scenario:
     """Build a Scenario from already-decoded JSON data."""
     if not isinstance(data, dict):
@@ -375,7 +383,7 @@ def parse_scenario(data: Any) -> Scenario:
         k_prime=_field(data, "k_prime", where, _as_int),
         family_size=_field(data, "T", where, partial(_at_most, limit=MAX_T)),
         horizon=_field(data, "horizon", where, partial(_at_most, limit=MAX_HORIZON)),
-        seed=_field(data, "seed", where, _as_int, 0),
+        seed=_field(data, "seed", where, _seed, 0),
     )
     topology = scenario.topology
     if isinstance(topology, RandomFamilyTopology) and min(n_total, scenario.family_size) > 0:

@@ -378,6 +378,70 @@ def test_sweep_needs_at_least_one_seed(scenarios_dir, tmp_path, capsys, seeds):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("option", [("run", "--seed"), ("sweep", "--seeds")])
+def test_non_integer_seed_option_is_a_usage_error(scenarios_dir, tmp_path, capsys, option):
+    command, flag = option
+    with pytest.raises(SystemExit) as exc:
+        invoke(command, str(scenarios_dir / "static_small.json"),
+               flag, "abc", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer, got 'abc'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+class TestSeedRange:
+    """A seed is one 64-bit key word: seeds outside [0, 2**64) would alias
+    others modulo 2**64, so they exit 2 with one line instead."""
+
+    def with_seed(self, scenarios_dir, tmp_path, seed):
+        data = json.loads((scenarios_dir / "static_small.json").read_text())
+        data["seed"] = seed
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_run_seed_outside_range_is_a_usage_error(self, scenarios_dir, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            invoke("run", str(scenarios_dir / "static_small.json"),
+                   f"--seed={seed}", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert f"must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_runs(self, scenarios_dir, tmp_path):
+        out = tmp_path / "out"
+        assert invoke("run", str(scenarios_dir / "static_small.json"),
+                      f"--seed={2**64 - 1}", "--out", str(out)) == 0
+        assert (out / f"static_small-seed{2**64 - 1}-trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_scenario_seed_outside_range_exits_two(
+        self, scenarios_dir, tmp_path, capsys, command, seed
+    ):
+        path = self.with_seed(scenarios_dir, tmp_path, seed)
+        argv = [command, path] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert invoke(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot load scenario: scenario.seed: {seed} is outside [0, 2**64)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_up_to_the_largest_seed(self, scenarios_dir, tmp_path):
+        path = self.with_seed(scenarios_dir, tmp_path, 2**64 - 2)
+        assert invoke("sweep", path, "--seeds", "2", "--out", str(tmp_path / "out")) == 0
+        with open(tmp_path / "out" / "seeded-sweep.csv", newline="") as fh:
+            seeds = [int(row["seed"]) for row in csv.DictReader(fh)]
+        assert seeds == [2**64 - 2, 2**64 - 1]
+
+    def test_sweep_past_the_largest_seed_exits_two(self, scenarios_dir, tmp_path, capsys):
+        path = self.with_seed(scenarios_dir, tmp_path, 2**64 - 2)
+        assert invoke("sweep", path, "--seeds", "3", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot sweep: seed {2**64} is outside [0, 2**64)\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_console_script_entry(scenarios_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "openavg", "validate",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from openavg.agent import AgentState
 from openavg.analysis import conservation_audit
 from openavg.engine import (
     EngineInvariantError,
-    _FamilyCache,
+    _family,
     _nth_inactive,
     draw_topology,
     run,
@@ -222,6 +223,18 @@ class TestConservationLedger:
         assert str(caught.value).startswith(f"step {step}: ")
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_is_refused(self, scenarios_dir, seed):
+        scenario = load_scenario(scenarios_dir / "static_small.json")
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            run(scenario, seed)
+
+    def test_largest_seed_runs(self, scenarios_dir):
+        scenario = load_scenario(scenarios_dir / "static_small.json")
+        assert len(run(scenario, 2**64 - 1)) == scenario.horizon + 1
+
+
 class TestDrawTopology:
     def test_transient_restriction_keeps_active_isolated(self):
         scenario = arrival_fixture()
@@ -238,22 +251,22 @@ class TestDrawTopology:
     def test_random_family_is_deterministic_per_active_set(self):
         scenario = mini_stochastic()
         active = frozenset({0, 1, 2, 3, 4})
-        a = _FamilyCache(scenario, seed=9)
-        b = _FamilyCache(scenario, seed=9)
-        assert a.family(active) == b.family(active)
-        assert draw_topology(scenario, 7, active, 9, a) == draw_topology(
-            scenario, 7, active, 9, b
+        family = _family(scenario, 9, active)
+        assert family == _family(scenario, 9, active)
+        # omitted, the family is drawn from the same key
+        assert draw_topology(scenario, 7, active, 9, family) == draw_topology(
+            scenario, 7, active, 9
         )
 
     def test_random_family_draw_is_step_local(self):
         scenario = mini_stochastic()
         active = frozenset({0, 1, 2, 3, 4})
-        cache = _FamilyCache(scenario, seed=9)
-        first = draw_topology(scenario, 7, active, 9, cache)
+        family = _family(scenario, 9, active)
+        first = draw_topology(scenario, 7, active, 9, family)
         # drawing other steps in between must not disturb step 7's draw
         for step in (0, 3, 11):
-            draw_topology(scenario, step, active, 9, cache)
-        assert draw_topology(scenario, 7, active, 9, cache) == first
+            draw_topology(scenario, step, active, 9, family)
+        assert draw_topology(scenario, 7, active, 9, family) == first
 
     def test_lone_stable_instance_draws_no_stream(self, scenarios_dir, monkeypatch):
         scenario = load_scenario(scenarios_dir / "theorem1_violation.json")
@@ -299,6 +312,43 @@ class TestDrawTopology:
         monkeypatch.setattr(engine, "validate_scenario", lambda s: ValidationReport(()))
         with pytest.raises(EngineInvariantError, match="step 1: stable instance covers"):
             run(scenario)
+
+
+class TestOneFamilyPerRun:
+    @staticmethod
+    def churning(event_prob):
+        """80-node pool, 40 active; at event_prob 1.0 every step before
+        k_prime changes the active set, so the run sees 21 of them."""
+        return parse_scenario({
+            "n_total": 80,
+            "initially_active": list(range(40)),
+            "initial_states": {"type": "uniform_int", "low": 0, "high": 99},
+            "arrival_states": {"type": "uniform_int", "low": 0, "high": 99},
+            "churn": {"type": "stochastic",
+                      "intervals": [{"start": 0, "end": 19, "event_prob": event_prob}]},
+            "topology": {"type": "random_family", "min_out_degree": 2},
+            "k_prime": 20,
+            "T": 10,
+            "horizon": 20,
+            "seed": 3,
+        })
+
+    @staticmethod
+    def peak_bytes(scenario):
+        tracemalloc.start()
+        try:
+            records = run(scenario)
+            return records, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_churn_holds_one_family_at_a_time(self):
+        records, churn_peak = self.peak_bytes(self.churning(1.0))
+        assert len({r.active for r in records}) == 21
+        records, static_peak = self.peak_bytes(self.churning(0.0))
+        assert len({r.active for r in records}) == 1
+        # A run that kept every family it drew would hold 21 of them.
+        assert churn_peak < 1.5 * static_peak
 
 
 class TestHotPathEquivalence:

@@ -8,8 +8,12 @@ the validator cannot change what a user reads without failing here.
 
 import copy
 import json
+import random
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import openavg.cli as cli
 from openavg.engine import run
@@ -505,6 +509,69 @@ def short_transient_departure():
                    k_prime=5, T=1)
 
 
+def subset(rnd, items, max_size=None):
+    """A random subset of ``items``, in their order."""
+    size = rnd.randint(0, len(items) if max_size is None else min(max_size, len(items)))
+    return [items[i] for i in sorted(rnd.sample(range(len(items)), size))]
+
+
+def graph(rnd, nodes, with_nodes=True):
+    """An instance entry over ``nodes`` with random edges."""
+    edges = subset(rnd, [[a, b] for a in nodes for b in nodes if a != b])
+    return {"nodes": nodes, "edges": edges} if with_nodes else {"edges": edges}
+
+
+@st.composite
+def explicit_departures(draw):
+    """Explicit scenarios whose membership walk is consistent: n <= 6,
+    horizon <= 10, several departures at once, transient instances that
+    may omit active nodes, and one or two stable instances over the
+    active set from k_prime on. Membership changes before k_prime and at
+    the horizon, the one later step whose change no stable instance has
+    to cover. Hypothesis draws the sizes; the rest comes from one seeded
+    ``Random``, which keeps a draw cheap."""
+    n_total = draw(st.integers(2, 6))
+    horizon = draw(st.integers(0, 10))
+    k_prime = draw(st.integers(0, horizon))
+    stable_count = draw(st.integers(1, 2))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    universe = list(range(n_total))
+    initially_active = subset(rnd, universe) or [rnd.choice(universe)]
+    active = set(initially_active)
+    churn_events, final_active = [], None
+    for step in subset(rnd, [*range(k_prime), horizon], max_size=4):
+        if final_active is None and step >= k_prime:
+            final_active = sorted(active)
+        departures = subset(rnd, sorted(active), max_size=len(active) - 1)
+        arrivals = subset(rnd, sorted(set(universe) - active))
+        active = (active - set(departures)) | set(arrivals)
+        churn_events.append({"step": step, "arrivals": arrivals, "departures": departures})
+    final_active = final_active or sorted(active)
+    transient = [
+        graph(rnd, universe, with_nodes=False) if rnd.random() < 0.5
+        else graph(rnd, subset(rnd, universe))
+        for _ in range(k_prime)
+    ]
+    p = rnd.choice([0.25, 0.5, 0.75])
+    weights = [1.0] if stable_count == 1 else [p, 1.0 - p]
+    stable = [dict(graph(rnd, final_active), p=w) for w in weights]
+    return {
+        "n_total": n_total,
+        "initially_active": initially_active,
+        "initial_states": {"type": "explicit",
+                           "values": {str(v): 3 * v - 4 for v in initially_active}},
+        "arrival_states": {"type": "uniform_int", "low": -5, "high": 5},
+        "churn": {"type": "explicit", "events": churn_events},
+        "topology": {"type": "explicit", "transient": transient, "stable": stable},
+        "k_prime": k_prime,
+        "T": len(stable),
+        "horizon": horizon,
+    }
+
+
+STRANDED_WARNING = re.compile(r"step (\d+): node (\d+) departs with no remaining out-neighbor")
+
+
 class TestValidatorMatchesEngine:
     def test_departer_omitted_from_transient_instance_is_stranded(self, tmp_path):
         data = transient_omission()
@@ -542,6 +609,31 @@ class TestValidatorMatchesEngine:
         assert "ERROR   topology-stable-nodes" in captured.out
         assert "invariant breach" not in captured.err
         assert not (tmp_path / "out").exists()
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(data=explicit_departures())
+    def test_warned_departures_are_the_stranded_ones(self, data):
+        scenario = parse_scenario(data)
+        report = validate_scenario(scenario)
+        assume(not report.errors())
+        warned = {
+            tuple(map(int, STRANDED_WARNING.match(f.message).groups()))
+            for f in report.warnings() if f.code == "stranded-departure"
+        }
+        # With two stable instances the one in force is drawn at runtime,
+        # so the validator cannot decide a departure from k_prime on.
+        decided_before = (
+            scenario.k_prime if len(scenario.topology.stable) > 1 else scenario.horizon + 1
+        )
+        for seed in (1, 2, 3):
+            stranded = {
+                (record.step, v.node)
+                for record in run(scenario, seed)
+                if record.step < decided_before
+                for v in record.violations
+                if v.kind == "stranded_departure"
+            }
+            assert stranded == warned
 
 
 class TestFormatErrors:

@@ -202,16 +202,16 @@ class TestGenerators:
             assert is_strongly_connected(union_digraph(fam))
 
     def test_family_ring_fallback(self):
-        # One attempt with out-degree 1 on 40 nodes almost never yields a
-        # strongly connected union; the fallback overlays the ring
-        # 0 -> 1 -> ... -> 39 -> 0 on the last member and keeps the others.
+        # With out-degree 1 on 40 nodes, none of the 64 attempts of
+        # default_rng(2) yields a strongly connected union; the fallback
+        # overlays the ring 0 -> 1 -> ... -> 39 -> 0 on the last attempt's
+        # last member and keeps its others.
         rng = np.random.default_rng(2)
-        fam = generate_instance_family(
-            range(40), count=2, min_out_degree=1, rng=rng, max_attempts=1
-        )
+        fam = generate_instance_family(range(40), count=2, min_out_degree=1, rng=rng)
         rng = np.random.default_rng(2)
-        drawn = [random_out_degree_instance(range(40), 1, rng) for _ in range(2)]
-        assert not is_strongly_connected(union_digraph(drawn))
+        for _ in range(64):
+            drawn = [random_out_degree_instance(range(40), 1, rng) for _ in range(2)]
+            assert not is_strongly_connected(union_digraph(drawn))
         ring = {(i, (i + 1) % 40) for i in range(40)}
         assert fam == [drawn[0], g(range(40), drawn[1].edges | ring)]
         assert is_strongly_connected(union_digraph(fam))

@@ -100,6 +100,19 @@ class TestParsing:
         del data["seed"]
         assert parse_scenario(data).seed == 0
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_parse(self, seed):
+        data = base_dict()
+        data["seed"] = seed
+        assert parse_scenario(data).seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_is_a_format_error(self, seed):
+        data = base_dict()
+        data["seed"] = seed
+        with pytest.raises(ScenarioFormatError, match=r"scenario\.seed: .* is outside"):
+            parse_scenario(data)
+
     @pytest.mark.parametrize(
         "mutate",
         [
