@@ -23,6 +23,7 @@ runs with the same scenario and seed produce identical traces.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -83,7 +84,7 @@ class RoundRecord:
 
 def _family(
     scenario: Scenario, seed: int, active: frozenset[int]
-) -> list[DigraphInstance]:
+) -> Sequence[DigraphInstance]:
     """The random family of ``active``, keyed by the seed and the set's
     fingerprint, so the same membership always sees the same family."""
     assert isinstance(scenario.topology, RandomFamilyTopology)
@@ -99,7 +100,7 @@ def draw_topology(
     step: int,
     active: frozenset[int],
     seed: int,
-    family: list[DigraphInstance] | None = None,
+    family: Sequence[DigraphInstance] | None = None,
 ) -> DigraphInstance:
     """Directed instance in force at ``step`` over the given active set.
 

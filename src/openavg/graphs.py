@@ -7,12 +7,17 @@ reads of it: each node's out-neighbors, in ascending order. Membership
 changes between consecutive steps are summarized by three disjoint sets
 (remaining, arriving, departing), which is what the per-node protocol
 logic keys on.
+
+A random family (``InstanceFamily``) draws every member's values up
+front, keeping each stream position, but builds a member only when it is
+first read. Its union is checked member by member, so a family is
+accepted on its shortest strongly connected prefix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .rng import IntegerDraws
 
@@ -219,6 +224,38 @@ def _choice(m: int, take: int, values: Iterator[int]) -> list[int]:
     return picks
 
 
+def _instance_draws(
+    nodes: Iterable[NodeId], min_out_degree: int
+) -> tuple[list[NodeId], int, list[int]]:
+    """The ascending nodes of a random instance, each node's degree capped
+    at n-1, and the bounds of all the instance's draws, node by node."""
+    ordered = sorted(set(nodes))
+    if not ordered:
+        raise ValueError("need at least one node")
+    take = min(min_out_degree, len(ordered) - 1)
+    return ordered, take, _choice_bounds(len(ordered) - 1, take) * len(ordered)
+
+
+def _build_instance(
+    nodes: frozenset[NodeId], ordered: list[NodeId], take: int, drawn: Iterable[int]
+) -> DigraphInstance:
+    """The instance on ``nodes`` (``ordered`` ascending) whose nodes, in
+    order, pick ``take`` heads each by replaying ``_choice`` on ``drawn``,
+    the values drawn within the bounds ``_instance_draws`` gives."""
+    if take < 1:  # no node has a head, and no empty tuple is stored
+        return DigraphInstance(nodes, {})
+    m = len(ordered) - 1
+    values = iter(drawn)
+    # Index i draws from the n-1 nodes other than v, in sorted order:
+    # those before v keep their index, those after it shift by one.
+    heads = {}
+    for pos, v in enumerate(ordered):
+        picks = _choice(m, take, values)
+        picks.sort()
+        heads[v] = tuple([ordered[i if i < pos else i + 1] for i in picks])
+    return DigraphInstance(nodes, heads)
+
+
 def random_out_degree_instance(
     nodes: Iterable[NodeId], min_out_degree: int, rng: IntegerDraws
 ) -> DigraphInstance:
@@ -231,22 +268,8 @@ def random_out_degree_instance(
     draws have the same bounds, so all of them come from one ``integers``
     call.
     """
-    ordered = sorted(set(nodes))
-    if not ordered:
-        raise ValueError("need at least one node")
-    m = len(ordered) - 1
-    take = min(min_out_degree, m)
-    values = iter(rng.integers(0, _choice_bounds(m, take) * len(ordered)))
-    if take < 1:  # no node has a head, and no empty tuple is stored
-        return DigraphInstance(frozenset(ordered), {})
-    # Index i draws from the n-1 nodes other than v, in sorted order:
-    # those before v keep their index, those after it shift by one.
-    heads = {}
-    for pos, v in enumerate(ordered):
-        picks = _choice(m, take, values)
-        picks.sort()
-        heads[v] = tuple([ordered[i if i < pos else i + 1] for i in picks])
-    return DigraphInstance(frozenset(ordered), heads)
+    ordered, take, bounds = _instance_draws(nodes, min_out_degree)
+    return _build_instance(frozenset(ordered), ordered, take, rng.integers(0, bounds))
 
 
 def directed_cycle(nodes: Iterable[NodeId]) -> DigraphInstance:
@@ -256,29 +279,76 @@ def directed_cycle(nodes: Iterable[NodeId]) -> DigraphInstance:
     return DigraphInstance(frozenset(ordered), heads)
 
 
+class InstanceFamily(Sequence[DigraphInstance]):
+    """The members of a random family, each built on its first read.
+
+    A member is held as the values drawn for it until it is first read;
+    then it is built, exactly as ``random_out_degree_instance`` builds
+    an instance from the same values, and the built instance replaces
+    the values. ``==`` compares members in order with another family or
+    a list of instances.
+    """
+
+    __slots__ = ("_nodes", "_ordered", "_take", "_members")
+
+    def __init__(
+        self, ordered: list[NodeId], take: int, drawn: list[Sequence[int]]
+    ) -> None:
+        self._nodes = frozenset(ordered)
+        self._ordered = ordered
+        self._take = take
+        self._members: list[DigraphInstance | Sequence[int]] = drawn
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __getitem__(self, index: int) -> DigraphInstance:
+        member = self._members[index]
+        if not isinstance(member, DigraphInstance):
+            member = _build_instance(self._nodes, self._ordered, self._take, member)
+            self._members[index] = member
+        return member
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (InstanceFamily, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def generate_instance_family(
     nodes: Iterable[NodeId],
     count: int,
     min_out_degree: int,
     rng: IntegerDraws,
-) -> list[DigraphInstance]:
+) -> InstanceFamily:
     """Draw ``count`` random instances whose union is strongly connected.
 
-    Redraws the whole family up to ``FAMILY_ATTEMPTS`` times; if every
-    attempt fails (tiny degree on a large node set can do that) the last
-    family is patched by overlaying a directed ring on its final member,
-    which makes the union strongly connected by construction.
+    An attempt draws every member's values, in order, one ``integers``
+    call per member, as ``random_out_degree_instance`` would. Members are
+    then built one at a time into a running union, and the attempt is
+    accepted at the first prefix whose union is strongly connected. That
+    decides exactly as checking the whole family would, since adding
+    edges keeps a digraph strongly connected; members past the prefix
+    are built when first read. A failed attempt is redrawn, up to
+    ``FAMILY_ATTEMPTS`` times; if every attempt fails (tiny degree on a
+    large node set can do that) the last family is patched by overlaying
+    a directed ring on its final member, which makes the union strongly
+    connected by construction.
     """
-    ordered = sorted(set(nodes))
     if count < 1:
         raise ValueError("family needs at least one instance")
-    family: list[DigraphInstance] = []
+    ordered, take, bounds = _instance_draws(nodes, min_out_degree)
     for _ in range(FAMILY_ATTEMPTS):
-        family = [
-            random_out_degree_instance(ordered, min_out_degree, rng)
-            for _ in range(count)
-        ]
-        if is_strongly_connected(union_digraph(family)):
-            return family
-    family[-1] = union_digraph([family[-1], directed_cycle(ordered)])
+        family = InstanceFamily(
+            ordered, take, [rng.integers(0, bounds) for _ in range(count)]
+        )
+        # The union of the members built so far. Tarjan only walks the
+        # heads, so they stay unsorted and may repeat.
+        union = DigraphInstance(family._nodes, {})
+        for member in family:
+            for v, hs in member.heads.items():
+                union.heads[v] = union.heads.get(v, ()) + hs
+            if is_strongly_connected(union):
+                return family
+    family._members[-1] = union_digraph([family[-1], directed_cycle(ordered)])
     return family

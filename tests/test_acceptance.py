@@ -14,6 +14,7 @@ from openavg.analysis import conservation_audit
 from openavg.engine import draw_topology, run
 from openavg.graphs import DigraphInstance, is_strongly_connected
 from openavg.reporting import trace_header, trace_rows
+from openavg.rng import stream
 from openavg.scenario import load_scenario, parse_scenario
 
 
@@ -221,13 +222,15 @@ def test_c6_splitting_conserves_and_quantizes_tightly():
     """100000 random splits: the per-candidate sums re-add to the input
     exactly, and every piece is the floor or the floor plus one of the
     original ratio."""
-    rng = np.random.default_rng(900)
+    data = np.random.default_rng(900)
+    ys = data.integers(-1_000_000, 1_000_001, size=100_000).tolist()
+    zs = data.integers(0, 65, size=100_000).tolist()
+    candidate_counts = data.integers(1, 9, size=100_000).tolist()
+    # The splits route with the engine's own stream type.
+    draws = stream(900, "c6")
     failures = 0
-    for _ in range(100_000):
-        y = int(rng.integers(-1_000_000, 1_000_001))
-        z = int(rng.integers(0, 65))
-        n_candidates = int(rng.integers(1, 9))
-        sums = split_mass(y, z, n_candidates, rng)
+    for y, z, n_candidates in zip(ys, zs, candidate_counts):
+        sums = split_mass(y, z, n_candidates, draws)
         if sum(s[0] for s in sums) != y or sum(s[1] for s in sums) != z:
             failures += 1
             continue

@@ -1,13 +1,14 @@
 """Round engine: step ordering, conservation, churn, topology draws."""
 
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from openavg import engine, rng
+from openavg import engine, graphs, rng
 from openavg.agent import AgentState
 from openavg.analysis import conservation_audit
 from openavg.engine import (
@@ -17,6 +18,7 @@ from openavg.engine import (
     draw_topology,
     run,
 )
+from openavg.reporting import write_trace_csv
 from openavg.scenario import (
     ScenarioValidationError,
     ValidationReport,
@@ -349,6 +351,40 @@ class TestOneFamilyPerRun:
         assert len({r.active for r in records}) == 1
         # A run that kept every family it drew would hold 21 of them.
         assert churn_peak < 1.5 * static_peak
+
+
+class TestRingFallbackTrace:
+    """A run whose one family takes the ring fallback: out-degree 1 on 40
+    nodes with T 2 leaves every attempt's union not strongly connected."""
+
+    # SHA-256 of the trace CSV, frozen from the eagerly built families.
+    DIGESTS = {
+        1: "05018644ff584eb1d28c9f05d3fe7d394c63be70d5a4cda1bb1c2324d62190e6",
+        2: "efc9c5bc295e62ff04456e7643e8ef96e391bb69be548e138fff396912585372",
+        3: "23abceee4dda13b4bfb3c8c70e18b9808f5faa56a5ca92cfb244ad29d5265a24",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_trace_digest_is_frozen(self, seed, tmp_path, monkeypatch):
+        rings = []
+        ring = graphs.directed_cycle
+        monkeypatch.setattr(
+            graphs, "directed_cycle", lambda nodes: rings.append(nodes) or ring(nodes)
+        )
+        scenario = parse_scenario({
+            "n_total": 40,
+            "initially_active": list(range(40)),
+            "initial_states": {"type": "uniform_int", "low": -5, "high": 20},
+            "churn": {"type": "none"},
+            "topology": {"type": "random_family", "min_out_degree": 1},
+            "k_prime": 0,
+            "T": 2,
+            "horizon": 30,
+        })
+        path = tmp_path / "trace.csv"
+        write_trace_csv(run(scenario, seed=seed), scenario.n_total, path)
+        assert len(rings) == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[seed]
 
 
 class TestHotPathEquivalence:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_rng import pcg_state, reference
 
-from openavg import rng
+from openavg import graphs, rng
 from openavg.graphs import (
+    FAMILY_ATTEMPTS,
     DigraphInstance,
     _choice,
     _choice_bounds,
@@ -220,6 +221,93 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_instance_family(range(3), count=0, min_out_degree=1,
                                      rng=np.random.default_rng(0))
+
+
+def eager_family(nodes, count, min_out_degree, rng):
+    """Reference: each attempt builds all ``count`` members and checks the
+    whole family's union; returns the family and whether the ring
+    fallback fired."""
+    family = []
+    for _ in range(FAMILY_ATTEMPTS):
+        family = [
+            random_out_degree_instance(nodes, min_out_degree, rng)
+            for _ in range(count)
+        ]
+        if is_strongly_connected(union_digraph(family)):
+            return family, False
+    family[-1] = union_digraph([family[-1], directed_cycle(nodes)])
+    return family, True
+
+
+def shortest_connected_prefix(family):
+    return next(
+        k for k in range(1, len(family) + 1)
+        if is_strongly_connected(union_digraph(family[:k]))
+    )
+
+
+class TestLazyFamily:
+    """The lazily built family against the eager reference: same members,
+    same length, same generator state afterwards."""
+
+    @staticmethod
+    def assert_matches_reference(n, count, d, seed):
+        ref_rng, lazy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected, fell_back = eager_family(range(n), count, d, ref_rng)
+        family = generate_instance_family(range(n), count, d, lazy_rng)
+        assert lazy_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(family) == len(expected) == count
+        for i in range(count):
+            assert family[i] == expected[i]
+        # Building the members draws nothing.
+        assert lazy_rng.bit_generator.state == ref_rng.bit_generator.state
+        return fell_back
+
+    @pytest.mark.parametrize("count", [1, 4, 20])
+    @pytest.mark.parametrize("degree", [1, 2, "n"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 40])
+    def test_matches_eager_reference(self, n, degree, count):
+        d = n if degree == "n" else degree
+        for seed in range(20):
+            self.assert_matches_reference(n, count, d, seed)
+
+    def test_ring_fallback_matches_eager_reference(self):
+        assert self.assert_matches_reference(40, 2, 1, seed=2)
+
+    def test_reading_a_member_builds_only_the_prefix_and_it(self, monkeypatch):
+        # This family is accepted on its first attempt, short of its end.
+        expected, _ = eager_family(range(40), 20, 2, np.random.default_rng(0))
+        prefix = shortest_connected_prefix(expected)
+        assert prefix < 19
+        built = []
+        build = graphs._build_instance
+
+        def counting_build(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(graphs, "_build_instance", counting_build)
+        family = generate_instance_family(range(40), 20, 2, np.random.default_rng(0))
+        assert len(built) == prefix
+        assert family[19] == expected[19]
+        assert len(built) == prefix + 1
+        assert family[19] == expected[19] and family[0] == expected[0]
+        assert len(built) == prefix + 1
+        assert list(family) == expected
+        assert len(built) == 20
+
+    def test_equality_holds_both_ways_against_a_list(self):
+        family = generate_instance_family(range(12), 4, 1, np.random.default_rng(3))
+        members = [family[i] for i in range(4)]
+        assert family == members and members == family
+        assert not (family != members or members != family)
+        assert family != members[:3] and members[:3] != family
+        swapped = [members[1], members[0], *members[2:]]
+        assert members[0] != members[1]
+        assert family != swapped and swapped != family
+        again = generate_instance_family(range(12), 4, 1, np.random.default_rng(3))
+        assert family == again
+        assert family != tuple(members)
 
 
 def others_list_instance(nodes, min_out_degree, rng):
