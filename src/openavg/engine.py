@@ -2,7 +2,8 @@
 
 One step k works on the active set V[k]:
 
-1. resolve membership: who remains, arrives, departs at this boundary
+1. resolve membership: the active set after this boundary comes from
+   ``scenario.membership_history``, or from a draw under stochastic churn
 2. draw the directed topology instance for the step
 3. record every node's state at the start of the step
 4. departing nodes add their surplus to the cell of one remaining
@@ -39,14 +40,14 @@ from .graphs import (
     out_neighbors,  # noqa: F401  (perfbench's tests trace it through this name)
 )
 from .scenario import (
-    ChurnEvent,
-    ExplicitChurn,
     ExplicitStates,
     ExplicitTopology,
     RandomFamilyTopology,
     Scenario,
     ScenarioValidationError,
     StateSource,
+    StochasticChurn,
+    membership_history,
     validate_scenario,
 )
 
@@ -138,35 +139,20 @@ def draw_topology(
     return chosen
 
 
-def _membership_change(
-    scenario: Scenario,
-    seed: int,
-    step: int,
-    active: frozenset[int],
-    events_by_step: dict[int, ChurnEvent],
-) -> tuple[frozenset[int], frozenset[int]]:
-    """(arrivals, departures) taking effect at this step boundary."""
-    if isinstance(scenario.churn, ExplicitChurn):
-        event = events_by_step.get(step)
-        if event is None:
-            return frozenset(), frozenset()
-        return event.arrivals, event.departures
-
-    if step >= scenario.k_prime:
-        return frozenset(), frozenset()
+def _drawn_membership(
+    scenario: Scenario, seed: int, step: int, active: frozenset[int]
+) -> frozenset[int]:
+    """The active set after this step boundary under stochastic churn."""
+    churn = scenario.churn
+    assert isinstance(churn, StochasticChurn)
     interval = next(
-        (
-            iv
-            for iv in scenario.churn.intervals
-            if iv.start <= step <= iv.end and iv.event_prob > 0
-        ),
-        None,
+        (iv for iv in churn.intervals if iv.start <= step <= iv.end and iv.event_prob > 0), None
     )
-    if interval is None:
-        return frozenset(), frozenset()
+    if step >= scenario.k_prime or interval is None:
+        return active
     stream = rng.stream(seed, rng.TAG_CHURN, step)
     if stream.random() >= interval.event_prob:
-        return frozenset(), frozenset()
+        return active
     weight_sum = interval.arrival_weight + interval.departure_weight
     wants_arrival = stream.random() < interval.arrival_weight / weight_sum
     inactive_count = scenario.n_total - len(active)
@@ -174,13 +160,11 @@ def _membership_change(
     # cannot go the drawn way goes the other way if it can.
     can_depart = len(active) > 1
     if inactive_count and (wants_arrival or not can_depart):
-        pick = _nth_inactive(active, stream.integers(0, inactive_count))
-        return frozenset({pick}), frozenset()
+        return active | {_nth_inactive(active, stream.integers(0, inactive_count))}
     if not can_depart:
-        return frozenset(), frozenset()
+        return active
     active_pool = sorted(active)
-    pick = active_pool[stream.integers(0, len(active_pool))]
-    return frozenset(), frozenset({pick})
+    return active - {active_pool[stream.integers(0, len(active_pool))]}
 
 
 def _nth_inactive(active: frozenset[int], index: int) -> int:
@@ -226,10 +210,7 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     if not 0 <= seed <= rng.MAX_SEED:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
 
-    events_by_step: dict[int, ChurnEvent] = {}
-    if isinstance(scenario.churn, ExplicitChurn):
-        events_by_step = {e.step: e for e in scenario.churn.events}
-
+    history = membership_history(scenario)
     # Only the active set's family is held; a set that returns redraws it.
     random_family = isinstance(scenario.topology, RandomFamilyTopology)
     family_nodes, family = None, None
@@ -246,10 +227,8 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
 
     records: list[RoundRecord] = []
     for k in range(scenario.horizon + 1):
-        arrivals, departures = _membership_change(
-            scenario, seed, k, active, events_by_step
-        )
-        membership = membership_sets(active, (active - departures) | arrivals)
+        next_active = history[k + 1] if history else _drawn_membership(scenario, seed, k, active)
+        membership = membership_sets(active, next_active)
         if random_family and active != family_nodes:
             family = None  # freed before the next one is drawn
             family_nodes, family = active, _family(scenario, seed, active)
@@ -312,5 +291,5 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
                 violations=tuple(violations),
             )
         )
-        active = membership.remaining | membership.arriving
+        active = next_active
     return records

@@ -11,6 +11,8 @@ Parsing problems (missing keys, wrong types, malformed graphs, an
 Semantic problems (inconsistent churn, disconnected stable union,
 departures that would strand mass) are collected by validate_scenario()
 as findings with severities, so callers can decide how hard to fail.
+membership_history() turns churn fixed before the run into the active
+set of every step; the validator checks it and the engine runs it.
 """
 
 from __future__ import annotations
@@ -470,9 +472,7 @@ def _check_state_sources(s: Scenario, out: _Findings) -> None:
         _check_uniform(s.initial_states, "initial-states", out)
 
     scheduled = _scheduled_arrivals(s)
-    any_node = isinstance(s.churn, StochasticChurn) and any(
-        iv.event_prob > 0 and iv.arrival_weight > 0 for iv in s.churn.intervals
-    )
+    any_node = isinstance(s.churn, StochasticChurn) and _stochastic_can_admit(s, s.churn)
     if not (scheduled or any_node):
         return
     source = s.arrival_states
@@ -494,6 +494,21 @@ def _check_state_sources(s: Scenario, out: _Findings) -> None:
         _check_uniform(source, "arrival-states", out)
 
 
+def _stochastic_can_admit(s: Scenario, churn: StochasticChurn) -> bool:
+    """Whether stochastic churn can admit a node. With zero arrival weight
+    it still can: a departure drawn when one node is left is an arrival,
+    which needs a departure to fire at each of len(initially_active)
+    steps before k_prime."""
+    if any(iv.event_prob > 0 and iv.arrival_weight > 0 for iv in churn.intervals):
+        return True
+    departure_steps = sum(
+        max(0, min(iv.end + 1, s.k_prime) - max(iv.start, 0))
+        for iv in churn.intervals
+        if iv.event_prob > 0 and iv.departure_weight > 0
+    )
+    return s.n_total > 1 and departure_steps >= len(s.initially_active)
+
+
 def _check_uniform(source: UniformIntStates, code: str, out: _Findings) -> None:
     # State draws replay numpy's int64 ``Generator.integers``, which
     # defines no draw for a bound outside int64.
@@ -503,12 +518,35 @@ def _check_uniform(source: UniformIntStates, code: str, out: _Findings) -> None:
         out.add(code, "error", "uniform bounds must lie in [-2**63, 2**63 - 1]")
 
 
-def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]] | None:
-    """Event checks, then the membership walk when nothing is wrong so far.
+def membership_history(s: Scenario) -> list[frozenset[NodeId]] | None:
+    """The active set at every step 0..horizon+1 when it is fixed before
+    the run, or None when the run draws it.
 
-    Returns the active set of every step, or None when the walk did not
-    run or found the schedule inconsistent.
+    Explicit churn (``"none"`` included) fixes it: an event at step k
+    takes effect from step k + 1. So does stochastic churn none of whose
+    intervals can fire before k_prime. Entry k is the set active during
+    step k; the last entry is the set after the horizon.
     """
+    if isinstance(s.churn, StochasticChurn):
+        if any(iv.event_prob > 0 and iv.start < s.k_prime for iv in s.churn.intervals):
+            return None
+        events: tuple[ChurnEvent, ...] = ()
+    else:
+        events = s.churn.events
+    by_step = {event.step: event for event in events}
+    active = frozenset(s.initially_active)
+    history = [active]
+    for k in range(s.horizon + 1):
+        event = by_step.get(k)
+        if event is not None:
+            active = (active - event.departures) | event.arrivals
+        history.append(active)
+    return history
+
+
+def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]] | None:
+    """Event checks, then each event against the active set it meets.
+    Returns the membership history, or None after any error."""
     assert isinstance(s.churn, ExplicitChurn)
     touched = _scheduled_arrivals(s).union(*(e.departures for e in s.churn.events))
     if _outside(touched, s.n_total):
@@ -528,46 +566,36 @@ def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]
     if any(f.severity == "error" for f in out):
         return None
 
-    by_step: dict[int, ChurnEvent] = {}
-    for event in s.churn.events:
-        if event.step in by_step:
-            out.add(
-                "churn-duplicate-step", "error", f"two churn events scheduled at step {event.step}"
-            )
-            return None
-        by_step[event.step] = event
+    steps = [event.step for event in s.churn.events]  # sorted as parsed
+    repeated = next((k for k, j in zip(steps, steps[1:]) if k == j), None)
+    if repeated is not None:
+        out.add("churn-duplicate-step", "error", f"two churn events scheduled at step {repeated}")
+        return None
 
-    active = frozenset(s.initially_active)
-    history = [active]
-    consistent = True
-    for k in range(s.horizon + 1):
-        event = by_step.get(k)
-        if event is not None:
-            before = len(out)
-            if event.arrivals & event.departures:
-                out.add(
-                    "churn-overlap",
-                    "error",
-                    f"step {k}: nodes listed as both arriving and departing",
-                )
-            if event.arrivals & active:
-                out.add(
-                    "churn-arrive-active",
-                    "error",
-                    f"step {k}: arrivals {sorted(event.arrivals & active)} are already active",
-                )
-            if event.departures - active:
-                out.add(
-                    "churn-depart-inactive",
-                    "error",
-                    f"step {k}: departures {sorted(event.departures - active)} are not active",
-                )
-            active = (active - event.departures) | event.arrivals
-            if not active:
-                out.add("churn-empty-network", "error", f"step {k}: the network would become empty")
-            consistent = consistent and len(out) == before
-        history.append(active)
-    return history if consistent else None
+    history = membership_history(s)
+    assert history is not None
+    before = len(out)
+    for event in s.churn.events:
+        k, active = event.step, history[event.step]
+        if event.arrivals & event.departures:
+            out.add(
+                "churn-overlap", "error", f"step {k}: nodes listed as both arriving and departing"
+            )
+        if event.arrivals & active:
+            out.add(
+                "churn-arrive-active",
+                "error",
+                f"step {k}: arrivals {sorted(event.arrivals & active)} are already active",
+            )
+        if event.departures - active:
+            out.add(
+                "churn-depart-inactive",
+                "error",
+                f"step {k}: departures {sorted(event.departures - active)} are not active",
+            )
+        if not history[k + 1]:
+            out.add("churn-empty-network", "error", f"step {k}: the network would become empty")
+    return history if len(out) == before else None
 
 
 def _check_stochastic_churn(s: Scenario, out: _Findings) -> None:
@@ -595,7 +623,9 @@ def _check_stochastic_churn(s: Scenario, out: _Findings) -> None:
             )
 
 
-def _check_topology(s: Scenario, out: _Findings) -> None:
+def _check_topology(
+    s: Scenario, history: list[frozenset[NodeId]] | None, out: _Findings
+) -> None:
     topo = s.topology
     if isinstance(topo, RandomFamilyTopology):
         if topo.min_out_degree < 1:
@@ -649,28 +679,28 @@ def _check_topology(s: Scenario, out: _Findings) -> None:
             "warning",
             f"T={s.family_size} but {len(topo.stable)} stable instances are listed",
         )
-    if isinstance(s.churn, StochasticChurn):
-        if any(iv.event_prob > 0 and iv.start < s.k_prime for iv in s.churn.intervals):
+    if history is None:
+        if isinstance(s.churn, StochasticChurn):
             out.add(
                 "topology-stable-nodes",
                 "error",
                 "explicit stable instances with stochastic churn before "
                 f"k_prime={s.k_prime}: the active set from k_prime on is random",
             )
-        elif stable_nodes != s.initially_active:
-            # No event can fire, so membership stays initially_active.
-            _stable_nodes_error(out, stable_nodes, s.initially_active, "from k_prime on")
-
-
-def _stable_nodes_error(
-    out: _Findings, stable_nodes: frozenset[NodeId], active: frozenset[NodeId], when: str
-) -> None:
-    out.add(
-        "topology-stable-nodes",
-        "error",
-        f"stable instances cover {sorted(stable_nodes)} but the "
-        f"active set {when} is {sorted(active)}",
-    )
+        return
+    # The engine draws a stable instance at every step from k_prime through
+    # the horizon. A k_prime outside [0, horizon], an error itself, is clamped.
+    start = min(max(s.k_prime, 0), len(history) - 1)
+    for k in range(start, max(start, s.horizon) + 1):
+        if history[k] != stable_nodes:
+            when = "from k_prime on" if k == start else f"at step {k}"
+            out.add(
+                "topology-stable-nodes",
+                "error",
+                f"stable instances cover {sorted(stable_nodes)} but the "
+                f"active set {when} is {sorted(history[k])}",
+            )
+            break
 
 
 def _check_departures(
@@ -684,21 +714,10 @@ def _check_departures(
             "info",
             "stochastic churn: the departure condition is checked at runtime",
         )
+        return
     topo = s.topology
     if history is None or not isinstance(topo, ExplicitTopology):
         return
-    assert isinstance(s.churn, ExplicitChurn)
-    final_active = history[min(s.k_prime, len(history) - 1)]
-    stable_nodes = topo.stable[0][0].nodes
-    if stable_nodes != final_active:
-        _stable_nodes_error(out, stable_nodes, final_active, "from k_prime on")
-    else:
-        # The engine draws a stable instance at every step through the
-        # horizon, so churn after k_prime breaks the match at the next step.
-        for k in range(s.k_prime + 1, s.horizon + 1):
-            if history[k] != stable_nodes:
-                _stable_nodes_error(out, stable_nodes, history[k], f"at step {k}")
-                break
     for event in s.churn.events:
         k = event.step
         if k >= s.k_prime:
@@ -728,11 +747,11 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     out = _Findings()
     _check_basics(s, out)
     _check_state_sources(s, out)
-    history = None
     if isinstance(s.churn, ExplicitChurn):
         history = _check_explicit_churn(s, out)
     else:
         _check_stochastic_churn(s, out)
-    _check_topology(s, out)
+        history = membership_history(s)
+    _check_topology(s, history, out)
     _check_departures(s, history, out)
     return ValidationReport(findings=tuple(out))

@@ -10,6 +10,8 @@ import copy
 import json
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -130,6 +132,24 @@ def stochastic_churn_that_never_fires():
                    churn=stochastic({"start": 0, "end": 2, "event_prob": 0.0}))
 
 
+def departures_only(end=10, **changes):
+    """Three ids, two active and no arrival weight: a departure fires at
+    every step from 0 to ``end``, and one drawn while a single node is
+    left admits a node instead, from step 1 on."""
+    data = {
+        "n_total": 3,
+        "initially_active": [0, 1],
+        "initial_states": {"type": "explicit", "values": {"0": 1, "1": 2}},
+        "churn": stochastic({"start": 0, "end": end, "event_prob": 1.0,
+                             "arrival_weight": 0, "departure_weight": 1}),
+        "topology": {"type": "random_family", "min_out_degree": 1},
+        "k_prime": 11,
+        "T": 2,
+        "horizon": 20,
+    }
+    return dict(data, **changes)
+
+
 GOLDEN = {
     "size": (
         variant(n_total=0),
@@ -213,6 +233,24 @@ GOLDEN = {
             RANDOM_INFO,
             STOCHASTIC_INFO,
         ],
+    ),
+    "arrival-states-zero-weight-missing": (
+        departures_only(),
+        [NO_ARRIVAL_SOURCE, RANDOM_INFO, STOCHASTIC_INFO],
+    ),
+    "arrival-states-zero-weight-uncovered": (
+        departures_only(arrival_states={"type": "explicit", "values": {"2": 5}}),
+        [
+            ("arrival-states", "error",
+             "stochastic churn can admit any node; explicit arrival states must "
+             "cover every id"),
+            RANDOM_INFO,
+            STOCHASTIC_INFO,
+        ],
+    ),
+    "arrival-states-zero-weight-one-step-short": (
+        departures_only(end=0),
+        [RANDOM_INFO, STOCHASTIC_INFO],
     ),
     "arrival-states-range": (
         variant(n_total=5, arrival_states={"type": "uniform_int", "low": 3, "high": 2},
@@ -609,6 +647,34 @@ class TestValidatorMatchesEngine:
         assert "ERROR   topology-stable-nodes" in captured.out
         assert "invariant breach" not in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"end": 1},
+        {"k_prime": 2},
+        {"arrival_states": {"type": "explicit", "values": {"2": 5}}},
+    ])
+    def test_departures_that_can_admit_a_node_are_refused(self, tmp_path, changes):
+        path = tmp_path / "departures.json"
+        path.write_text(json.dumps(departures_only(**changes)))
+        for command in (["validate"], ["run", "--seed", "1", "--out", str(tmp_path / "out")]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "openavg", command[0], str(path), *command[1:]],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 1
+            assert "ERROR   arrival-states" in proc.stdout
+            assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("changes", [{"end": 0}, {"k_prime": 1}])
+    def test_one_firing_step_short_admits_no_node(self, changes):
+        scenario = parse_scenario(departures_only(**changes))
+        assert not validate_scenario(scenario).errors()
+        for seed in range(1, 6):
+            records = run(scenario, seed)
+            assert records[0].membership.departing
+            assert not any(record.membership.arriving for record in records)
 
     @settings(derandomize=True, deadline=None, max_examples=1000)
     @given(data=explicit_departures())

@@ -16,6 +16,7 @@ from openavg.scenario import (
     StochasticChurn,
     UniformIntStates,
     load_scenario,
+    membership_history,
     parse_scenario,
     validate_scenario,
 )
@@ -223,6 +224,59 @@ class TestBundledScenarios:
     def test_churn_scenario_validates_strict(self, scenarios_dir):
         s = load_scenario(scenarios_dir / "paper_sec5.json")
         assert validate_scenario(s).ok(strict=True)
+
+
+def stochastic_churn(start, event_prob):
+    """One three-step interval of stochastic churn from ``start``."""
+    return {"type": "stochastic",
+            "intervals": [{"start": start, "end": start + 2, "event_prob": event_prob}]}
+
+
+class TestMembershipHistory:
+    """The active set of every step 0..horizon+1, as the validator checks
+    it and the engine runs it."""
+
+    @staticmethod
+    def history(horizon=5, k_prime=0, **changes):
+        data = base_dict()
+        data.update(horizon=horizon, k_prime=k_prime, **changes)
+        return membership_history(parse_scenario(data))
+
+    def test_event_takes_effect_from_the_next_step(self):
+        churn = {"type": "explicit", "events": [
+            {"step": 1, "departures": [3]},
+            {"step": 3, "arrivals": [3], "departures": [0]},
+        ]}
+        everyone, without_3, without_0 = {0, 1, 2, 3}, {0, 1, 2}, {1, 2, 3}
+        assert self.history(churn=churn) == [
+            everyone, everyone, without_3, without_3, without_0, without_0, without_0
+        ]
+
+    def test_event_at_the_horizon_changes_only_the_last_entry(self):
+        churn = {"type": "explicit", "events": [{"step": 5, "departures": [3]}]}
+        history = self.history(churn=churn)
+        assert len(history) == 7
+        assert history[:6] == [{0, 1, 2, 3}] * 6
+        assert history[6] == {0, 1, 2}
+
+    @pytest.mark.parametrize("churn", [
+        {"type": "none"},
+        stochastic_churn(2, 0.0),
+        stochastic_churn(3, 1.0),
+    ], ids=["none", "never-fires", "starts-at-k-prime"])
+    def test_churn_that_cannot_change_membership_gives_a_constant_history(self, churn):
+        assert self.history(k_prime=3, churn=churn) == [{0, 1, 2, 3}] * 7
+
+    def test_stochastic_churn_before_k_prime_is_drawn(self):
+        assert self.history(k_prime=3, churn=stochastic_churn(2, 0.5)) is None
+
+    def test_engine_runs_the_history(self, scenarios_dir):
+        from openavg.engine import run
+
+        s = load_scenario(scenarios_dir / "theorem1_violation.json")
+        history = membership_history(s)
+        assert [record.active for record in run(s, 1)] == history[:-1]
+        assert len(set(history)) > 1
 
 
 class TestValidationErrors:
