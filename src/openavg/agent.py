@@ -107,9 +107,18 @@ def remaining_step(
     keeps, the final piece and the pieces drawn for self, goes into its
     own cell, since keeping mass is a delivery to self. The node's state
     is untouched: receive() builds its next one at the barrier.
+
+    A node that cannot draw, holding z <= 1 tokens or without targets,
+    keeps its whole holding: nothing is drawn from ``rng``, as the split
+    would draw nothing either.
     """
     if node in targets:
         raise ValueError("self must not appear among targets")
+    if state.z <= 1 or not targets:
+        cell = cells[node]
+        cell[0] += state.y
+        cell[1] += state.z
+        return
     receivers = sorted(targets)
     receivers.append(node)
     for receiver, (y, z) in zip(receivers, split_mass(state.y, state.z, len(receivers), rng)):

@@ -160,7 +160,10 @@ def _drawn_membership(
     # cannot go the drawn way goes the other way if it can.
     can_depart = len(active) > 1
     if inactive_count and (wants_arrival or not can_depart):
-        return active | {_nth_inactive(active, stream.integers(0, inactive_count))}
+        arrival = _nth_inactive(active, stream.integers(0, inactive_count))
+        if arrival in active:
+            raise EngineInvariantError(f"step {step}: node {arrival} arrives while active")
+        return active | {arrival}
     if not can_depart:
         return active
     active_pool = sorted(active)
@@ -226,6 +229,7 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     lost_y = lost_z = 0
 
     records: list[RoundRecord] = []
+    average = None  # of the active set, computed when the set changes
     for k in range(scenario.horizon + 1):
         next_active = history[k + 1] if history else _drawn_membership(scenario, seed, k, active)
         membership = membership_sets(active, next_active)
@@ -235,7 +239,8 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         instance = draw_topology(scenario, k, active, seed, family)
 
         per_node = dict(sorted(states.items()))
-        average = true_average(per_node)
+        if average is None:
+            average = true_average(per_node)
         error = consensus_error(per_node, average)
 
         violations: list[Violation] = []
@@ -243,29 +248,33 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
 
         # Departers hand off and leave; remaining nodes split and route.
         # Cells only sum integers, so the ascending order matters only to
-        # the order of the violations. A node's agent stream is seeded
-        # only if it draws: one holding z <= 1 tokens splits nothing.
-        remaining = membership.remaining
+        # the order of the violations. The step's agent streams share the
+        # head (seed, agent, k). A remaining node that cannot draw (z <= 1,
+        # or no remaining out-neighbor) gets no stream: it keeps its
+        # holding, as remaining_step would.
+        agents = rng.stream_head(seed, rng.TAG_AGENT, k)
+        heads, remaining = instance.heads, membership.remaining
         for v, state in per_node.items():
-            targets = [u for u in instance.heads.get(v, ()) if u in remaining]
-            draws = rng.stream(seed, rng.TAG_AGENT, k, v)
             if v in membership.departing:
-                surplus = depart_step(state, v, targets, draws, cells)
+                targets = [u for u in heads.get(v, ()) if u in remaining]
+                surplus = depart_step(state, v, targets, rng.Stream(agents, v), cells)
                 if surplus.stranded:
                     violations.append(
                         Violation(v, "stranded_departure", surplus.y, surplus.z)
                     )
                     lost_y += surplus.y
                     lost_z += surplus.z
+            elif state.z > 1 and (targets := [u for u in heads.get(v, ()) if u in remaining]):
+                remaining_step(state, v, targets, rng.Stream(agents, v), cells)
             else:
-                remaining_step(state, v, targets, draws, cells)
+                cell = cells[v]
+                cell[0] += state.y
+                cell[1] += state.z
 
         # Departers have no cell, so they drop out here.
         states = {v: receive(per_node[v], cell) for v, cell in cells.items()}
 
         for v in sorted(membership.arriving):
-            if v in states:
-                raise EngineInvariantError(f"step {k}: node {v} arrives while active")
             value = _state_value(
                 scenario.arrival_states, v, seed, rng.TAG_ARRIVAL_STATE, k, v
             )
@@ -291,5 +300,7 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
                 violations=tuple(violations),
             )
         )
+        if membership.arriving or membership.departing:
+            average = None
         active = next_active
     return records

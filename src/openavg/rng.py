@@ -9,11 +9,14 @@ order or on which subsystem asks first.
 A stream replays numpy's ``default_rng(SeedSequence(key words))`` bit for
 bit, in Python:
 
-- the ``SeedSequence`` mixing is computed here, with the pool after the
-  key's head (every part but the last) cached, so that seeding a stream
-  absorbs only its last part's one or two 32-bit words, inline; the part
-  of the mix that the first three 32-bit words fix is cached for shorter
-  heads;
+- the ``SeedSequence`` mixing is computed here. A stream is built on
+  its key's head (every part but the last), resolved by ``stream_head``:
+  the pool after the head's words, cached, so that seeding the stream
+  absorbs only its last part's one or two 32-bit words. The engine
+  resolves each step's ``(seed, agent, k)`` head once and builds the
+  step's agent streams on it. A head of fewer than four words leaves the
+  whole key to mix: the part of the mix that its first three words fix
+  is cached, and the fourth word is mixed inline against it;
 - the four seed words feed numpy's PCG64 (O'Neill 2014), a 128-bit LCG
   with XSL-RR output, seeded as numpy's ``pcg64_set_seed`` seeds it;
 - ``integers`` is numpy's ``random_bounded_uint64_fill`` for one value:
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Protocol, Sequence, overload
+from typing import NamedTuple, Protocol, Sequence, overload
 
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
@@ -74,7 +77,9 @@ MAX_SEED = (1 << 64) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Output word i xors with _B[i] and multiplies by _B[i + 1].
+# Hashmix call i xors with _A[i] and multiplies by _A[i + 1]; output
+# word i xors with _B[i] and multiplies by _B[i + 1].
+_A = tuple(_INIT_A * pow(_MULT_A, i, 1 << 32) & _MASK32 for i in range(17))
 _B = tuple(_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9))
 
 
@@ -84,15 +89,12 @@ def _tag_word(tag: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _key_words(parts: tuple[int | str, ...]) -> list[int]:
-    """The 32-bit entropy words SeedSequence reads from the key: each part
-    is one 64-bit word (a tag's digest, or the int modulo 2**64), split
-    low word first, and only a word of 2**32 or more has two."""
-    words: list[int] = []
-    for part in parts:
-        x = _tag_word(part) if isinstance(part, str) else int(part) & _MASK64
-        words += (x,) if x <= _MASK32 else (x & _MASK32, x >> 32)
-    return words
+def _part_words(part: int | str) -> tuple[int, ...]:
+    """The 32-bit entropy words SeedSequence reads from one key part: one
+    64-bit word (a tag's digest, or the int modulo 2**64), split low word
+    first, and only a word of 2**32 or more has two."""
+    x = _tag_word(part) if isinstance(part, str) else int(part) & _MASK64
+    return (x,) if x <= _MASK32 else (x & _MASK32, x >> 32)
 
 
 def _hashmix(value: int, i: int) -> int:
@@ -106,21 +108,6 @@ def _mixed(x: int, h: int) -> int:
     """SeedSequence's mix of hash ``h`` into pool word ``x``."""
     x = (_MIX_L * x - _MIX_R * h) & _MASK32
     return x ^ x >> 16
-
-
-@lru_cache(maxsize=64)
-def _hash_consts(start: int, count: int) -> tuple[int, ...]:
-    """SeedSequence's hash constants from its ``start``-th hashmix call on:
-    call ``start + i`` xors with entry i and multiplies by entry i + 1."""
-    a = _INIT_A * pow(_MULT_A, start, 1 << 32) & _MASK32
-    consts = [a]
-    for _ in range(count):
-        a = a * _MULT_A & _MASK32
-        consts.append(a)
-    return tuple(consts)
-
-
-_A = _hash_consts(0, 16)
 
 
 @lru_cache(maxsize=256)
@@ -144,79 +131,104 @@ def _prefix_pool(w0: int, w1: int, w2: int) -> tuple[int, ...]:
     return (*pool, *into_3)
 
 
-def _absorb(
-    pool: tuple[int, int, int, int], word: int, a: tuple[int, ...], i: int
-) -> tuple[int, int, int, int]:
-    """Mix an entropy word past the pool's first four into each pool word,
-    with the hashmix constants ``a[i:i + 5]``."""
-    mixed = []
-    for j, x in enumerate(pool):
-        h = (word ^ a[i + j]) * a[i + j + 1] & _MASK32
-        mixed.append(_mixed(x, h ^ h >> 16))
-    return tuple(mixed)
-
-
-def _mix(words: list[int]) -> tuple[int, int, int, int]:
-    """SeedSequence's four-word pool after mixing in ``words``. A missing
-    word among the first four hashes as 0, so the first three come
-    from a cache and only the fourth and later words are mixed here."""
-    words = words + [0] * (4 - len(words))
-    p0, p1, p2, h0, h1, h2 = _prefix_pool(words[0], words[1], words[2])
-    p3 = _mixed(_mixed(_mixed(_hashmix(words[3], 3), h0), h1), h2)
-    pool = (
-        _mixed(p0, _hashmix(p3, 13)),
-        _mixed(p1, _hashmix(p3, 14)),
-        _mixed(p2, _hashmix(p3, 15)),
-        p3,
+@lru_cache(maxsize=64)
+def _absorb_consts(first: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The hashmix constants of entropy words ``first`` (at least 4) to
+    ``first + count - 1``: word j mixes into pool word i with SeedSequence's
+    hashmix call 4j + i, which xors with entry i and multiplies by entry
+    i + 1 of the word's five."""
+    return tuple(
+        tuple(_INIT_A * pow(_MULT_A, 4 * j + i, 1 << 32) & _MASK32 for i in range(5))
+        for j in range(first, first + count)
     )
-    if len(words) > 4:
-        a = _hash_consts(16, 4 * (len(words) - 4))
-        for i, word in enumerate(words[4:]):
-            pool = _absorb(pool, word, a, 4 * i)
-    return pool
+
+
+def _absorb(
+    pool: tuple[int, int, int, int],
+    words: Sequence[int],
+    consts: Sequence[tuple[int, ...]],
+) -> tuple[int, int, int, int]:
+    """Mix entropy words past the pool's first four into each pool word,
+    word j with the hashmix constants ``consts[j]``."""
+    p0, p1, p2, p3 = pool
+    for word, (a0, a1, a2, a3, a4) in zip(words, consts):
+        h = (word ^ a0) * a1 & _MASK32
+        p0 = (_MIX_L * p0 - _MIX_R * (h ^ h >> 16)) & _MASK32
+        h = (word ^ a1) * a2 & _MASK32
+        p1 = (_MIX_L * p1 - _MIX_R * (h ^ h >> 16)) & _MASK32
+        h = (word ^ a2) * a3 & _MASK32
+        p2 = (_MIX_L * p2 - _MIX_R * (h ^ h >> 16)) & _MASK32
+        h = (word ^ a3) * a4 & _MASK32
+        p3 = (_MIX_L * p3 - _MIX_R * (h ^ h >> 16)) & _MASK32
+        p0 ^= p0 >> 16
+        p1 ^= p1 >> 16
+        p2 ^= p2 >> 16
+        p3 ^= p3 >> 16
+    return p0, p1, p2, p3
+
+
+def _mix(words: Sequence[int]) -> tuple[int, int, int, int]:
+    """SeedSequence's four-word pool after mixing in ``words``. A missing
+    word among the first four hashes as 0. The first three come from a
+    cache, the fourth is mixed here inline, and later ones are absorbed."""
+    w0, w1, w2, w3 = (*words, 0, 0, 0)[:4]
+    p0, p1, p2, h0, h1, h2 = _prefix_pool(w0, w1, w2)
+    # Word 3's hashmix is call 3; the three steps (src -> 3) mix h0-h2
+    # into it, and steps (3 -> 0), (3 -> 1) and (3 -> 2) are calls 13-15.
+    a = _A
+    p3 = (w3 ^ a[3]) * a[4] & _MASK32
+    p3 ^= p3 >> 16
+    for h in (h0, h1, h2):
+        p3 = (_MIX_L * p3 - _MIX_R * h) & _MASK32
+        p3 ^= p3 >> 16
+    h = (p3 ^ a[13]) * a[14] & _MASK32
+    p0 = (_MIX_L * p0 - _MIX_R * (h ^ h >> 16)) & _MASK32
+    h = (p3 ^ a[14]) * a[15] & _MASK32
+    p1 = (_MIX_L * p1 - _MIX_R * (h ^ h >> 16)) & _MASK32
+    h = (p3 ^ a[15]) * a[16] & _MASK32
+    p2 = (_MIX_L * p2 - _MIX_R * (h ^ h >> 16)) & _MASK32
+    pool = (p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3)
+    if len(words) <= 4:
+        return pool
+    return _absorb(pool, words[4:], _absorb_consts(4, len(words) - 4))
+
+
+class StreamHead(NamedTuple):
+    """SeedSequence's mix after the words of a key's head, shared by every
+    stream whose key is the head plus one more part."""
+
+    words: tuple[int, ...]
+    # The pool after the head's words once they fill its four slots, and
+    # the absorb constants of the (at most two) words of one more part;
+    # a shorter head's words share pool slots with the next part's.
+    pool: tuple[int, int, int, int] | None
+    consts: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=256)
-def _head_pool(
-    head: tuple[int | str, ...],
-) -> tuple[tuple[int, int, int, int], tuple[tuple[int, ...], ...]] | None:
-    """The pool after the head's words, and the five hash constants for
-    each of the (at most two) words of one more part; None when the head
-    has fewer than four words, as its words then share pool slots with the
-    next part's."""
-    words = _key_words(head)
+def stream_head(*head: int | str) -> StreamHead:
+    """The mixing state of the key head ``head``, for the streams
+    ``Stream(stream_head(*head), last)`` of the keys ``(*head, last)``."""
+    words: tuple[int, ...] = ()
+    for part in head:
+        words += _part_words(part)
     if len(words) < 4:
-        return None
-    a = _hash_consts(16 + 4 * (len(words) - 4), 8)
-    return _mix(words), (a[:5], a[4:])
+        return StreamHead(words, None, ())
+    return StreamHead(words, _mix(words), _absorb_consts(len(words), 2))
 
 
-def _seed_words(parts: tuple[int | str, ...]) -> tuple[int, int, int, int]:
+def _seed_words_after(head: StreamHead, last: int | str) -> tuple[int, int, int, int]:
     """The four uint64 words that ``SeedSequence(key words)`` hands PCG64
-    for the key ``parts``: ``generate_state(4, uint64)``. With the head's
-    pool cached, the last part's one or two words are absorbed inline, as
-    in ``_absorb``, since this runs for almost every stream."""
-    head = _head_pool(parts[:-1])
-    if head is None:
-        p0, p1, p2, p3 = _mix(_key_words(parts))
+    for the key of ``head``'s parts followed by ``last``:
+    ``generate_state(4, uint64)``. A head that fills the pool leaves only
+    the last part's one or two words to absorb, which is all a step's
+    agent streams pay; a shorter one mixes the whole key, its fourth word
+    inline."""
+    words = _part_words(last)
+    if head.pool is None:
+        p0, p1, p2, p3 = _mix(head.words + words)
     else:
-        (p0, p1, p2, p3), consts = head
-        last = parts[-1]
-        x = _tag_word(last) if isinstance(last, str) else last & _MASK64
-        words = (x,) if x <= _MASK32 else (x & _MASK32, x >> 32)
-        for word, (a0, a1, a2, a3, a4) in zip(words, consts):
-            h = (word ^ a0) * a1 & _MASK32
-            p0 = (_MIX_L * p0 - _MIX_R * (h ^ h >> 16)) & _MASK32
-            h = (word ^ a1) * a2 & _MASK32
-            p1 = (_MIX_L * p1 - _MIX_R * (h ^ h >> 16)) & _MASK32
-            h = (word ^ a2) * a3 & _MASK32
-            p2 = (_MIX_L * p2 - _MIX_R * (h ^ h >> 16)) & _MASK32
-            h = (word ^ a3) * a4 & _MASK32
-            p3 = (_MIX_L * p3 - _MIX_R * (h ^ h >> 16)) & _MASK32
-            p0 ^= p0 >> 16
-            p1 ^= p1 >> 16
-            p2 ^= p2 >> 16
-            p3 ^= p3 >> 16
+        p0, p1, p2, p3 = _absorb(head.pool, words, head.consts)
     # Eight 32-bit words cycling over the pool, paired low word first.
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = _B
     s0 = (p0 ^ b0) * b1 & _MASK32
@@ -235,6 +247,12 @@ def _seed_words(parts: tuple[int | str, ...]) -> tuple[int, int, int, int]:
     )
 
 
+def _seed_words(parts: tuple[int | str, ...]) -> tuple[int, int, int, int]:
+    """The four uint64 words ``SeedSequence`` hands PCG64 for the key
+    ``parts``, through the cached head of every part but the last."""
+    return _seed_words_after(stream_head(*parts[:-1]), parts[-1])
+
+
 class IntegerDraws(Protocol):
     """The one RNG method the agent and family draws need: a uniform int in
     [low, high), or one per bound for a sequence of bounds, as numpy's
@@ -250,24 +268,26 @@ class IntegerDraws(Protocol):
 
 
 class Stream:
-    """numpy's ``default_rng(SeedSequence(key words))``, replayed in Python.
+    """numpy's ``default_rng(SeedSequence(key words))``, replayed in Python,
+    for the key of ``head``'s parts followed by ``last``.
 
     The generator is seeded on the first draw that needs a random word,
     so a holder that never draws never pays for seeding. Its draws,
     and its PCG64 state afterwards, are numpy's for the same calls.
     """
 
-    __slots__ = ("_key", "_state", "_inc", "_has_uint32", "_uinteger")
+    __slots__ = ("_head", "_last", "_state", "_inc", "_has_uint32", "_uinteger")
 
-    def __init__(self, key: tuple[int | str, ...]) -> None:
-        self._key = key
+    def __init__(self, head: StreamHead, last: int | str) -> None:
+        self._head = head
+        self._last = last
         self._inc = 0  # odd once seeded
         self._has_uint32 = 0
 
     def _seed(self) -> None:
         """numpy's ``pcg64_set_seed``: state and increment from the seed
         words, then two LCG steps with the initial state added between."""
-        w0, w1, w2, w3 = _seed_words(self._key)
+        w0, w1, w2, w3 = _seed_words_after(self._head, self._last)
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         self._inc = inc
         self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
@@ -389,7 +409,8 @@ class Stream:
 
 def stream(seed: int, *key: int | str) -> Stream:
     """The stream for (seed, *key). Identical arguments, identical draws."""
-    return Stream((seed, *key))
+    *head, last = seed, *key
+    return Stream(stream_head(*head), last)
 
 
 def node_set_fingerprint(nodes) -> int:

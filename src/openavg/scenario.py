@@ -495,11 +495,15 @@ def _check_state_sources(s: Scenario, out: _Findings) -> None:
 
 
 def _stochastic_can_admit(s: Scenario, churn: StochasticChurn) -> bool:
-    """Whether stochastic churn can admit a node. With zero arrival weight
-    it still can: a departure drawn when one node is left is an arrival,
-    which needs a departure to fire at each of len(initially_active)
-    steps before k_prime."""
-    if any(iv.event_prob > 0 and iv.arrival_weight > 0 for iv in churn.intervals):
+    """Whether stochastic churn can admit a node. Only an interval that
+    starts before k_prime can fire. With zero arrival weight it still can:
+    a departure drawn when one node is left is an arrival, which needs a
+    departure to fire at each of len(initially_active) steps before
+    k_prime."""
+    if any(
+        iv.event_prob > 0 and iv.arrival_weight > 0 and iv.start < s.k_prime
+        for iv in churn.intervals
+    ):
         return True
     departure_steps = sum(
         max(0, min(iv.end + 1, s.k_prime) - max(iv.start, 0))

@@ -147,6 +147,26 @@ class TestRemainingStep:
         with pytest.raises(ValueError):
             remaining_step(state(y=1, z=1), 3, {3}, ScriptedRng([]), cells_for(3))
 
+    @pytest.mark.parametrize(
+        "z, targets",
+        [(z, targets) for z in (-1, 0, 1) for targets in (set(), {1, 2})]
+        + [(z, set()) for z in range(2, 7)],
+    )
+    def test_node_that_cannot_draw_keeps_what_the_split_keeps(self, z, targets):
+        # With z <= 1 or no target the split draws nothing (a range of one
+        # candidate draws no word), so the fast path must leave its cells
+        # and draw nothing at all: ScriptedRng([]) fails on any call.
+        before = state(x=1, y=-9, z=z)
+        cells = cells_for(0, 1, 2)
+        remaining_step(before, 0, targets, ScriptedRng([]), cells)
+        expected = cells_for(0, 1, 2)
+        receivers = [*sorted(targets), 0]
+        sums = split_mass(-9, z, len(receivers), np.random.default_rng(0))
+        for receiver, (y_sum, z_sum) in zip(receivers, sums):
+            expected[receiver][0] += y_sum
+            expected[receiver][1] += z_sum
+        assert cells == expected
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
         y=st.integers(-(10**4), 10**4),

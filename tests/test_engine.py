@@ -156,6 +156,11 @@ class TestArrivals:
         rows = conservation_audit(run(arrival_fixture()))
         assert all(r.y_imbalance == 0 and r.z_imbalance == 0 for r in rows)
 
+    def test_drawn_arrival_of_an_active_node_stops_the_run(self, monkeypatch):
+        monkeypatch.setattr(engine, "_nth_inactive", lambda active, index: min(active))
+        with pytest.raises(EngineInvariantError, match=r"step \d+: node 0 arrives while active"):
+            run(mini_stochastic())
+
 
 class TestDepartures:
     def test_departure_effective_next_step(self):
@@ -389,14 +394,17 @@ class TestRingFallbackTrace:
 
 class TestHotPathEquivalence:
     def test_lazy_stream_draws_match_stream(self):
-        # An agent stream seeds itself on its first draw, and its draws
-        # are those of numpy's generator for the same key.
-        lazy = rng.stream(5, rng.TAG_AGENT, 3, 17)
-        words = [rng._tag_word(rng.TAG_AGENT) if p == rng.TAG_AGENT else p
-                 for p in (5, rng.TAG_AGENT, 3, 17)]
-        eager = np.random.default_rng(np.random.SeedSequence(words))
-        for high in (1, 2, 3, 7, 2, 100, 5):
-            assert lazy.integers(0, high) == int(eager.integers(0, high))
+        # run() resolves the head (seed, agent, k) once per step; each
+        # node's stream seeds itself on its first draw, from that head,
+        # and draws as numpy's generator does for the key (seed, agent, k, v).
+        tag = rng._tag_word(rng.TAG_AGENT)
+        for seed, step in ((5, 3), (2**40, 2**33)):
+            head = rng.stream_head(seed, rng.TAG_AGENT, step)
+            for v in (0, 17, 2**32 + 5):
+                lazy = rng.Stream(head, v)
+                eager = np.random.default_rng(np.random.SeedSequence([seed, tag, step, v]))
+                for high in (1, 2, 3, 7, 2, 100, 5):
+                    assert lazy.integers(0, high) == int(eager.integers(0, high))
 
     def test_nth_inactive_matches_listing(self):
         pick = random.Random(4)
@@ -427,16 +435,16 @@ class TestHotPathEquivalence:
             "seed": 3,
         })
         seeded = []
-        real_seed_words = rng._seed_words
+        real_seed_words_after = rng._seed_words_after
 
-        def counting_seed_words(parts):
-            if parts[1:2] == (rng.TAG_AGENT,):
-                seeded.append(parts[2:])
-            return real_seed_words(parts)
+        def counting_seed_words_after(head, last):
+            seeded.append((head, last))
+            return real_seed_words_after(head, last)
 
-        monkeypatch.setattr(rng, "_seed_words", counting_seed_words)
+        monkeypatch.setattr(rng, "_seed_words_after", counting_seed_words_after)
         records = run(scenario)
         one_token = [r.step for r in records if r.per_node[0].z <= 1]
         assert one_token, "node 0 never settled at one token"
         for r in records:
-            assert ((r.step, 0) in seeded) == (r.per_node[0].z > 1)
+            head = rng.stream_head(scenario.seed, rng.TAG_AGENT, r.step)
+            assert ((head, 0) in seeded) == (r.per_node[0].z > 1)

@@ -2,8 +2,10 @@
 
 Small random-family scenarios with negative state values, with or
 without arrival states, and no churn, explicit churn (departures of
-several nodes at once, so that some strand their surplus) or stochastic
-churn. For every one that validates,
+several nodes at once, so that some strand their surplus), stochastic
+churn, or stochastic churn that departs a node at every step with no
+arrival weight (so that a departure drawn with one node left admits one).
+For every one that validates,
 ``run()`` must not raise, equal seeds must give equal records, and each
 audit row must equal minus the surplus that stranded departures lost
 before its step.
@@ -55,11 +57,23 @@ def scenarios(draw):
         arrival_states = {"type": "uniform_int", "low": low,
                           "high": low + draw(st.integers(0, 50))}
 
-    kind = draw(st.sampled_from(["none", "explicit", "stochastic"]))
+    kind = draw(st.sampled_from(["none", "explicit", "stochastic", "departures-only"]))
     if kind == "none":
         churn = {"type": "none"}
     elif kind == "explicit":
         churn = draw(explicit_events(n_total, initially_active, horizon))
+    elif kind == "departures-only":
+        # A departure at every step before k_prime, and no arrival weight:
+        # once one node is left, the next event must admit one instead.
+        # k_prime leaves that event a step whenever the horizon does.
+        k_prime = max(k_prime, min(horizon, len(initially_active)))
+        churn = {"type": "stochastic", "intervals": [{
+            "start": 0,
+            "end": max(0, k_prime - 1),
+            "event_prob": 1.0,
+            "arrival_weight": 0.0,
+            "departure_weight": 1.0,
+        }]}
     else:
         start = draw(st.integers(0, k_prime))
         churn = {"type": "stochastic", "intervals": [{

@@ -78,14 +78,19 @@ def pcg_state(stream):
 
 def assert_replays(seed, key, calls):
     """The stream's draws, and its state after them, are numpy's."""
-    got, expected = rng.stream(seed, *key), reference(seed, *key)
+    assert_draws_equal(rng.stream(seed, *key), reference(seed, *key), calls, (seed, key))
+
+
+def assert_draws_equal(got, expected, calls, label):
+    """A stream's draws, and its state after them, are those of the numpy
+    generator ``expected``."""
     for i, call in enumerate(calls):
         value = got.random() if call == "random" else got.integers(*call)
         want = draw(expected, call)
-        assert value == want and type(value) is type(want), (seed, key, i, call)
+        assert value == want and type(value) is type(want), (label, i, call)
         if type(value) is list:
             assert all(type(v) is int for v in value)
-    assert pcg_state(got) == expected.bit_generator.state, (seed, key)
+    assert pcg_state(got) == expected.bit_generator.state, label
 
 
 def keys():
@@ -116,29 +121,46 @@ def test_stream_draws_equal_seed_sequence_draws():
             assert_replays(7, (rng.TAG_AGENT, step, node), [(0, 1000)] * 20)
 
 
-@pytest.mark.parametrize(
-    "key",
-    [
-        (5, rng.TAG_AGENT, 7, 11),  # 4-word head, one-word last part
-        (5, rng.TAG_AGENT, 7, 2**32 - 1),  # the widest one-word part
-        (5, rng.TAG_AGENT, 7, 2**32),  # 4-word head, two-word last part
-        (5, rng.TAG_AGENT, 7, 2**64 - 1),
-        (2**32, rng.TAG_AGENT, 7, 11),  # 5-word head
-        (2**64 - 1, rng.TAG_AGENT, 2**40, 2**40),  # 6-word head, two-word last
-        (5, rng.TAG_AGENT, 7, -1),  # negative: 2**64 - 1, two words
-        (5, rng.TAG_AGENT, 7, -2**63),
-        (2**32, rng.TAG_AGENT, 7, -3),
-        (5, rng.TAG_AGENT, 7, "last"),  # str: its digest, two words
-        (2**32, rng.TAG_AGENT, 7, rng.TAG_CHURN),
-        (5, rng.TAG_CHURN, 9),  # 3-word head: the whole key is mixed
-        (5, rng.TAG_CHURN, -9),
-        (5,),
-    ],
-)
+# Every key shape the seeding distinguishes: heads of 0 to 6 words, and
+# last parts of one or two words, negative, or str.
+KEY_SHAPES = [
+    (5, rng.TAG_AGENT, 7, 11),  # 4-word head, one-word last part
+    (5, rng.TAG_AGENT, 7, 2**32 - 1),  # the widest one-word part
+    (5, rng.TAG_AGENT, 7, 2**32),  # 4-word head, two-word last part
+    (5, rng.TAG_AGENT, 7, 2**64 - 1),
+    (2**32, rng.TAG_AGENT, 7, 11),  # 5-word head
+    (2**64 - 1, rng.TAG_AGENT, 2**40, 2**40),  # 6-word head, two-word last
+    (5, rng.TAG_AGENT, 7, -1),  # negative: 2**64 - 1, two words
+    (5, rng.TAG_AGENT, 7, -2**63),
+    (2**32, rng.TAG_AGENT, 7, -3),
+    (5, rng.TAG_AGENT, 7, "last"),  # str: its digest, two words
+    (2**32, rng.TAG_AGENT, 7, rng.TAG_CHURN),
+    (5, rng.TAG_CHURN, 9),  # 3-word head: the fourth word is mixed inline
+    (5, rng.TAG_CHURN, -9),  # 3-word head, two-word last: a fifth word
+    (5,),  # empty head
+    (2**32, "x"),  # 2-word head
+]
+
+
+@pytest.mark.parametrize("key", KEY_SHAPES)
 def test_seed_words_equal_seed_sequence(key):
     expected = np.random.SeedSequence(key_words(key)).generate_state(4, np.uint64)
     assert rng._seed_words(key) == tuple(int(w) for w in expected)
     assert rng._seed_words(key) == tuple(int(w) for w in expected)  # cached head
+
+
+@pytest.mark.parametrize("key", KEY_SHAPES)
+def test_streams_of_one_head_equal_seed_sequence(key):
+    # A step resolves its head once and builds each node's stream on it;
+    # every such stream must seed and draw as numpy does for its own key.
+    *head_parts, last = key
+    head = rng.stream_head(*head_parts)
+    for part in (last, 0, 2**33 + 1, "node"):
+        key = (*head_parts, part)
+        words = np.random.SeedSequence(key_words(key)).generate_state(4, np.uint64)
+        expected = tuple(int(w) for w in words)
+        assert rng._seed_words_after(head, part) == rng._seed_words(key) == expected
+        assert_draws_equal(rng.Stream(head, part), reference(*key), CALLS, key)
 
 
 def test_long_key_equals_seed_sequence():

@@ -461,6 +461,18 @@ class TestValidationWarnings:
         data["arrival_states"] = {"type": "uniform_int", "low": 1, "high": 5}
         assert "late-churn" in warnings_of(data)
 
+    def test_interval_after_stabilization_needs_no_arrival_states(self):
+        # The engine fires no event from k_prime on, so nothing can arrive.
+        data = base_dict()
+        data["churn"] = {
+            "type": "stochastic",
+            "intervals": [{"start": 20, "end": 30, "event_prob": 0.5}],
+        }
+        data["k_prime"] = 10
+        data["topology"] = {"type": "random_family", "min_out_degree": 1}
+        assert errors_of(data) == []
+        assert warnings_of(data) == ["late-churn"]
+
     def test_disconnected_stable_union(self):
         data = base_dict()
         data["topology"]["stable"] = [
