@@ -3,8 +3,10 @@
 One step k works on the active set V[k]:
 
 1. resolve membership: the active set after this boundary comes from
-   ``scenario.membership_history``, or from a draw under stochastic churn
-2. draw the directed topology instance for the step
+   ``scenario.membership_history``, or is drawn at the steps of
+   ``scenario.firing_intervals``
+2. draw the directed topology instance for the step, unless
+   ``ExplicitTopology.fixed_at`` fixes it
 3. record every node's state at the start of the step
 4. departing nodes add their surplus to the cell of one remaining
    out-neighbor; a departer with none strands it, and the loss is kept
@@ -40,13 +42,14 @@ from .graphs import (
     out_neighbors,  # noqa: F401  (perfbench's tests trace it through this name)
 )
 from .scenario import (
+    ChurnInterval,
     ExplicitStates,
     ExplicitTopology,
     RandomFamilyTopology,
     Scenario,
     ScenarioValidationError,
     StateSource,
-    StochasticChurn,
+    firing_intervals,
     membership_history,
     validate_scenario,
 )
@@ -106,24 +109,21 @@ def draw_topology(
     """Directed instance in force at ``step`` over the given active set.
 
     Random-family mode picks one member of ``family``, the family of
-    ``active`` (drawn here when omitted), uniformly. Explicit mode uses
-    transient[step] before the stabilization step and a
-    probability-weighted stable instance afterwards. The draw for a
-    given (seed, step) does not depend on any other step's draw.
+    ``active`` that ``run`` holds, uniformly. Explicit mode uses the
+    instance ``ExplicitTopology.fixed_at`` gives, and draws a
+    probability-weighted stable instance where it gives none. The draw
+    for a given (seed, step) does not depend on any other step's draw.
     """
     topology = scenario.topology
     if isinstance(topology, RandomFamilyTopology):
-        if family is None:
-            family = _family(scenario, seed, active)
+        assert family is not None
         idx = rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).integers(0, len(family))
         return family[idx]
 
     assert isinstance(topology, ExplicitTopology)
-    if step < scenario.k_prime:
-        return topology.transient[step].restricted_to(active)
-    chosen = topology.stable[-1][0]
-    # A lone stable instance is chosen whatever the draw, so none is made.
-    if len(topology.stable) > 1:
+    chosen = topology.fixed_at(step, scenario.k_prime, active)
+    if chosen is None:
+        chosen = topology.stable[-1][0]
         u = rng.stream(seed, rng.TAG_TOPOLOGY_DRAW, step).random()
         cumulative = 0.0
         for instance, p in topology.stable:
@@ -140,15 +140,12 @@ def draw_topology(
 
 
 def _drawn_membership(
-    scenario: Scenario, seed: int, step: int, active: frozenset[int]
+    scenario: Scenario, churn: Sequence[ChurnInterval], seed: int, step: int, active: frozenset[int]
 ) -> frozenset[int]:
-    """The active set after this step boundary under stochastic churn."""
-    churn = scenario.churn
-    assert isinstance(churn, StochasticChurn)
-    interval = next(
-        (iv for iv in churn.intervals if iv.start <= step <= iv.end and iv.event_prob > 0), None
-    )
-    if step >= scenario.k_prime or interval is None:
+    """The active set after this step boundary, where ``churn`` is the
+    scenario's ``firing_intervals``."""
+    interval = next((iv for iv in churn if iv.start <= step <= iv.end), None)
+    if interval is None:
         return active
     stream = rng.stream(seed, rng.TAG_CHURN, step)
     if stream.random() >= interval.event_prob:
@@ -214,6 +211,7 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
 
     history = membership_history(scenario)
+    churn = firing_intervals(scenario)
     # Only the active set's family is held; a set that returns redraws it.
     random_family = isinstance(scenario.topology, RandomFamilyTopology)
     family_nodes, family = None, None
@@ -231,7 +229,9 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     records: list[RoundRecord] = []
     average = None  # of the active set, computed when the set changes
     for k in range(scenario.horizon + 1):
-        next_active = history[k + 1] if history else _drawn_membership(scenario, seed, k, active)
+        next_active = (
+            history[k + 1] if history else _drawn_membership(scenario, churn, seed, k, active)
+        )
         membership = membership_sets(active, next_active)
         if random_family and active != family_nodes:
             family = None  # freed before the next one is drawn

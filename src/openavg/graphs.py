@@ -184,19 +184,14 @@ def is_strongly_connected(g: DigraphInstance) -> bool:
     return len(strongly_connected_components(g)) == 1
 
 
-def _tail_shuffle(m: int, take: int) -> bool:
-    """Whether numpy 2.4.6's ``choice(m, take, replace=False)`` takes the
-    partial tail shuffle rather than Floyd's algorithm."""
-    return m > 10000 and take > m // 50
-
-
 def _choice_bounds(m: int, take: int) -> list[int]:
     """The exclusive upper bounds of the draws (each from 0) that numpy
-    2.4.6's ``choice(m, take, replace=False)`` makes, in order. None
-    depends on an earlier draw."""
-    if _tail_shuffle(m, take):
-        return list(range(m, max(m - take, 1), -1))
-    # Floyd's algorithm, then a shuffle of the ``take`` picks.
+    2.4.6's ``choice(m, take, replace=False)`` makes for m <= 10000, in
+    order: Floyd's algorithm, then a shuffle of the ``take`` picks. None
+    depends on an earlier draw. A larger m is a ValueError, since numpy
+    may shuffle a tail there instead; MAX_N_TOTAL keeps every m below it."""
+    if m > 10000:
+        raise ValueError(f"choice over {m} items: only m <= 10000 is replayed")
     return [*range(m - take + 1, m + 1), *range(take, 1, -1)]
 
 
@@ -204,13 +199,6 @@ def _choice(m: int, take: int, values: Iterator[int]) -> list[int]:
     """numpy 2.4.6's ``Generator.choice(m, take, replace=False)``, replayed
     on ``values`` drawn within ``_choice_bounds(m, take)``: it consumes
     one value per bound, and its picks are numpy's for those draws."""
-    if _tail_shuffle(m, take):
-        # Position -> value, for the positions the swaps moved.
-        moved: dict[int, int] = {}
-        for i in range(m - 1, max(m - take, 1) - 1, -1):
-            j = next(values)
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return [moved.get(i, i) for i in range(m - take, m)]
     picks: list[int] = []
     seen: set[int] = set()
     for j in range(m - take, m):
@@ -285,8 +273,7 @@ class InstanceFamily(Sequence[DigraphInstance]):
     A member is held as the values drawn for it until it is first read;
     then it is built, exactly as ``random_out_degree_instance`` builds
     an instance from the same values, and the built instance replaces
-    the values. ``==`` compares members in order with another family or
-    a list of instances.
+    the values.
     """
 
     __slots__ = ("_nodes", "_ordered", "_take", "_members")
@@ -308,11 +295,6 @@ class InstanceFamily(Sequence[DigraphInstance]):
             member = _build_instance(self._nodes, self._ordered, self._take, member)
             self._members[index] = member
         return member
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (InstanceFamily, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def generate_instance_family(

@@ -11,26 +11,22 @@ Parsing problems (missing keys, wrong types, malformed graphs, an
 Semantic problems (inconsistent churn, disconnected stable union,
 departures that would strand mass) are collected by validate_scenario()
 as findings with severities, so callers can decide how hard to fail.
-membership_history() turns churn fixed before the run into the active
-set of every step; the validator checks it and the engine runs it.
+The validator checks, and the engine runs, what three functions state
+once: when stochastic churn fires (firing_intervals), the active set of
+every step when churn is fixed before the run (membership_history), and
+the explicit instance in force when no draw picks it (fixed_at).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
 
-from .graphs import (
-    DigraphInstance,
-    NodeId,
-    is_strongly_connected,
-    out_neighbors,
-    union_digraph,
-)
+from .graphs import DigraphInstance, NodeId, is_strongly_connected, union_digraph
 from .rng import MAX_SEED
 
 
@@ -127,6 +123,17 @@ class ExplicitTopology:
 
     transient: tuple[DigraphInstance, ...]
     stable: tuple[tuple[DigraphInstance, float], ...]
+
+    def fixed_at(
+        self, step: int, k_prime: int, active: frozenset[NodeId]
+    ) -> DigraphInstance | None:
+        """The instance in force at ``step`` when no draw picks it: before
+        k_prime, ``transient[step]`` restricted to ``active``, then the lone
+        stable instance. None for several stable instances or a missing
+        transient one."""
+        if step >= k_prime:
+            return self.stable[0][0] if len(self.stable) == 1 else None
+        return self.transient[step].restricted_to(active) if step < len(self.transient) else None
 
 
 TopologySchedule = Union[RandomFamilyTopology, ExplicitTopology]
@@ -437,10 +444,9 @@ def _outside(ids: Iterable[NodeId], n_total: int) -> list[NodeId]:
     return sorted(v for v in ids if not 0 <= v < n_total)
 
 
-def _scheduled_arrivals(s: Scenario) -> set[NodeId]:
-    if isinstance(s.churn, StochasticChurn):
-        return set()
-    return {v for event in s.churn.events for v in event.arrivals}
+def _events(s: Scenario) -> tuple[ChurnEvent, ...]:
+    """The scheduled churn events; stochastic churn schedules none."""
+    return s.churn.events if isinstance(s.churn, ExplicitChurn) else ()
 
 
 def _check_basics(s: Scenario, out: _Findings) -> None:
@@ -471,8 +477,8 @@ def _check_state_sources(s: Scenario, out: _Findings) -> None:
     else:
         _check_uniform(s.initial_states, "initial-states", out)
 
-    scheduled = _scheduled_arrivals(s)
-    any_node = isinstance(s.churn, StochasticChurn) and _stochastic_can_admit(s, s.churn)
+    scheduled = {v for event in _events(s) for v in event.arrivals}
+    any_node = _stochastic_can_admit(s)
     if not (scheduled or any_node):
         return
     source = s.arrival_states
@@ -494,23 +500,18 @@ def _check_state_sources(s: Scenario, out: _Findings) -> None:
         _check_uniform(source, "arrival-states", out)
 
 
-def _stochastic_can_admit(s: Scenario, churn: StochasticChurn) -> bool:
-    """Whether stochastic churn can admit a node. Only an interval that
-    starts before k_prime can fire. With zero arrival weight it still can:
-    a departure drawn when one node is left is an arrival, which needs a
-    departure to fire at each of len(initially_active) steps before
-    k_prime."""
-    if any(
-        iv.event_prob > 0 and iv.arrival_weight > 0 and iv.start < s.k_prime
-        for iv in churn.intervals
-    ):
+def _stochastic_can_admit(s: Scenario) -> bool:
+    """Whether stochastic churn can admit a node. With zero arrival weight
+    it still can: a departure drawn when one node is left is an arrival,
+    which needs a departure to fire at each of len(initially_active), and
+    at least one, of the steps it fires."""
+    intervals = firing_intervals(s)
+    if any(iv.arrival_weight > 0 for iv in intervals):
         return True
     departure_steps = sum(
-        max(0, min(iv.end + 1, s.k_prime) - max(iv.start, 0))
-        for iv in churn.intervals
-        if iv.event_prob > 0 and iv.departure_weight > 0
+        max(0, iv.end + 1 - max(iv.start, 0)) for iv in intervals if iv.departure_weight > 0
     )
-    return s.n_total > 1 and departure_steps >= len(s.initially_active)
+    return s.n_total > 1 and departure_steps >= max(1, len(s.initially_active))
 
 
 def _check_uniform(source: UniformIntStates, code: str, out: _Findings) -> None:
@@ -522,22 +523,31 @@ def _check_uniform(source: UniformIntStates, code: str, out: _Findings) -> None:
         out.add(code, "error", "uniform bounds must lie in [-2**63, 2**63 - 1]")
 
 
+def firing_intervals(s: Scenario) -> tuple[ChurnInterval, ...]:
+    """The stochastic intervals with ``event_prob`` above 0, each cut to
+    the steps before k_prime: the steps where churn can fire. () for
+    explicit churn."""
+    if isinstance(s.churn, ExplicitChurn):
+        return ()
+    return tuple(
+        replace(iv, end=min(iv.end, s.k_prime - 1))
+        for iv in s.churn.intervals
+        if iv.event_prob > 0 and iv.start < s.k_prime
+    )
+
+
 def membership_history(s: Scenario) -> list[frozenset[NodeId]] | None:
     """The active set at every step 0..horizon+1 when it is fixed before
     the run, or None when the run draws it.
 
     Explicit churn (``"none"`` included) fixes it: an event at step k
-    takes effect from step k + 1. So does stochastic churn none of whose
-    intervals can fire before k_prime. Entry k is the set active during
-    step k; the last entry is the set after the horizon.
+    takes effect from step k + 1. So does stochastic churn that has no
+    ``firing_intervals``. Entry k is the set active during step k; the
+    last entry is the set after the horizon.
     """
-    if isinstance(s.churn, StochasticChurn):
-        if any(iv.event_prob > 0 and iv.start < s.k_prime for iv in s.churn.intervals):
-            return None
-        events: tuple[ChurnEvent, ...] = ()
-    else:
-        events = s.churn.events
-    by_step = {event.step: event for event in events}
+    if firing_intervals(s):
+        return None
+    by_step = {event.step: event for event in _events(s)}
     active = frozenset(s.initially_active)
     history = [active]
     for k in range(s.horizon + 1):
@@ -552,7 +562,7 @@ def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]
     """Event checks, then each event against the active set it meets.
     Returns the membership history, or None after any error."""
     assert isinstance(s.churn, ExplicitChurn)
-    touched = _scheduled_arrivals(s).union(*(e.departures for e in s.churn.events))
+    touched = {v for e in s.churn.events for v in e.arrivals | e.departures}
     if _outside(touched, s.n_total):
         out.add("churn-ids", "error", "churn events reference ids outside range(n_total)")
     for event in s.churn.events:
@@ -684,7 +694,7 @@ def _check_topology(
             f"T={s.family_size} but {len(topo.stable)} stable instances are listed",
         )
     if history is None:
-        if isinstance(s.churn, StochasticChurn):
+        if firing_intervals(s):
             out.add(
                 "topology-stable-nodes",
                 "error",
@@ -712,30 +722,26 @@ def _check_departures(
 ) -> None:
     """The departure condition, checked against the instance the engine
     will use wherever that instance is known before the run."""
-    if isinstance(s.churn, StochasticChurn):
-        out.add(
-            "stranded-departure",
-            "info",
-            "stochastic churn: the departure condition is checked at runtime",
-        )
+    if history is None:
+        if firing_intervals(s):
+            out.add(
+                "stranded-departure",
+                "info",
+                "stochastic churn: the departure condition is checked at runtime",
+            )
         return
     topo = s.topology
-    if history is None or not isinstance(topo, ExplicitTopology):
+    if not isinstance(topo, ExplicitTopology):
         return
-    for event in s.churn.events:
+    for event in _events(s):
         k = event.step
-        if k >= s.k_prime:
-            if len(topo.stable) > 1:
-                continue  # instance drawn at runtime, cannot check statically
-            g = topo.stable[0][0]
-        elif k < len(topo.transient):
-            g = topo.transient[k].restricted_to(history[k])
-        else:
-            continue  # no instance for this step, a topology-transient error
+        g = topo.fixed_at(k, s.k_prime, history[k])
+        if g is None:
+            continue  # drawn at runtime, or missing: a topology-transient error
         remaining = history[k] - event.departures
         for v in sorted(event.departures):
             # The engine refuses a stable instance that misses an active node.
-            if v in g.nodes and not out_neighbors(g, v) & remaining:
+            if v in g.nodes and remaining.isdisjoint(g.heads.get(v, ())):
                 out.add(
                     "stranded-departure",
                     "warning",

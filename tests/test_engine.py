@@ -258,12 +258,7 @@ class TestDrawTopology:
     def test_random_family_is_deterministic_per_active_set(self):
         scenario = mini_stochastic()
         active = frozenset({0, 1, 2, 3, 4})
-        family = _family(scenario, 9, active)
-        assert family == _family(scenario, 9, active)
-        # omitted, the family is drawn from the same key
-        assert draw_topology(scenario, 7, active, 9, family) == draw_topology(
-            scenario, 7, active, 9
-        )
+        assert list(_family(scenario, 9, active)) == list(_family(scenario, 9, active))
 
     def test_random_family_draw_is_step_local(self):
         scenario = mini_stochastic()
@@ -350,6 +345,10 @@ class TestOneFamilyPerRun:
             tracemalloc.stop()
 
     def test_churn_holds_one_family_at_a_time(self):
+        # The first run of a process fills the lru_caches of rng, which
+        # would count against whichever run is traced first.
+        for event_prob in (1.0, 0.0):
+            run(self.churning(event_prob))
         records, churn_peak = self.peak_bytes(self.churning(1.0))
         assert len({r.active for r in records}) == 21
         records, static_peak = self.peak_bytes(self.churning(0.0))

@@ -296,6 +296,16 @@ GOLDEN = {
             STOCHASTIC_INFO,
         ],
     ),
+    "late-churn-stochastic-after-k-prime": (
+        variant(churn=stochastic({"start": 20, "end": 30, "event_prob": 0.5}),
+                topology=RANDOM, k_prime=10),
+        [
+            ("late-churn", "warning",
+             "interval [20, 30] extends past k_prime=10; the engine will not fire "
+             "events there, trim the interval"),
+            RANDOM_INFO,
+        ],
+    ),
     "churn-duplicate-step": (
         variant(churn=events({"step": 1, "departures": [3]},
                              {"step": 1, "departures": [2]})),
@@ -425,7 +435,6 @@ GOLDEN = {
             ("topology-stable-nodes", "error",
              "stable instances cover [0, 1, 2, 3] but the active set from k_prime on "
              "is [0, 1, 2]"),
-            STOCHASTIC_INFO,
         ],
     ),
     "topology-probabilities": (

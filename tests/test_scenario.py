@@ -6,8 +6,10 @@ import math
 
 import pytest
 
+from openavg.graphs import DigraphInstance
 from openavg.scenario import (
     ChurnEvent,
+    ChurnInterval,
     ExplicitChurn,
     ExplicitStates,
     ExplicitTopology,
@@ -15,6 +17,7 @@ from openavg.scenario import (
     ScenarioFormatError,
     StochasticChurn,
     UniformIntStates,
+    firing_intervals,
     load_scenario,
     membership_history,
     parse_scenario,
@@ -279,6 +282,73 @@ class TestMembershipHistory:
         assert len(set(history)) > 1
 
 
+class TestFiringIntervals:
+    @staticmethod
+    def firing(intervals, k_prime=10):
+        data = base_dict()
+        data.update(churn={"type": "stochastic", "intervals": intervals}, k_prime=k_prime)
+        return firing_intervals(parse_scenario(data))
+
+    def test_interval_is_cut_to_the_steps_before_k_prime(self):
+        (cut,) = self.firing([{"start": 2, "end": 20, "event_prob": 0.1,
+                               "arrival_weight": 1, "departure_weight": 3}])
+        assert cut == ChurnInterval(2, 9, 0.1, 1.0, 3.0)
+        (kept,) = self.firing([{"start": 2, "end": 9, "event_prob": 0.1}])
+        assert kept == ChurnInterval(2, 9, 0.1)
+
+    def test_interval_that_cannot_fire_is_dropped(self):
+        intervals = [
+            {"start": 0, "end": 3, "event_prob": 0.0},
+            {"start": 4, "end": 6, "event_prob": 0.5},
+            {"start": 10, "end": 12, "event_prob": 1.0},
+            {"start": 20, "end": 30, "event_prob": 1.0},
+        ]
+        assert self.firing(intervals) == (ChurnInterval(4, 6, 0.5),)
+        assert self.firing(intervals, k_prime=0) == ()
+
+    @pytest.mark.parametrize("churn", [
+        {"type": "none"},
+        {"type": "explicit", "events": [{"step": 1, "departures": [3]}]},
+    ], ids=["none", "explicit"])
+    def test_explicit_churn_has_none(self, churn):
+        data = base_dict()
+        data.update(churn=churn, k_prime=5)
+        assert firing_intervals(parse_scenario(data)) == ()
+
+
+class TestFixedAt:
+    """The explicit instance in force at a step when no draw picks it."""
+
+    RING = DigraphInstance.from_edges(
+        frozenset(range(4)), [(0, 1), (1, 2), (2, 3), (3, 0)]
+    )
+    PATH = DigraphInstance.from_edges(frozenset(range(4)), [(0, 1), (1, 2), (2, 3)])
+
+    def test_transient_instance_is_restricted_to_the_active_set(self):
+        topology = ExplicitTopology(transient=(self.PATH, self.RING), stable=((self.RING, 1.0),))
+        active = frozenset({0, 1, 3})
+        fixed = topology.fixed_at(1, 2, active)
+        assert fixed == DigraphInstance.from_edges(active, [(0, 1), (3, 0)])
+        assert topology.fixed_at(0, 2, active) == DigraphInstance.from_edges(active, [(0, 1)])
+
+    def test_lone_stable_instance_is_in_force_from_k_prime_on(self):
+        topology = ExplicitTopology(transient=(self.PATH,), stable=((self.RING, 1.0),))
+        for step in (1, 2, 50):
+            assert topology.fixed_at(step, 1, frozenset(range(4))) is self.RING
+
+    def test_several_stable_instances_give_none(self):
+        topology = ExplicitTopology(
+            transient=(), stable=((self.RING, 0.5), (self.PATH, 0.5))
+        )
+        assert topology.fixed_at(0, 0, frozenset(range(4))) is None
+        assert topology.fixed_at(7, 3, frozenset(range(4))) is None
+
+    def test_missing_transient_instance_gives_none(self):
+        topology = ExplicitTopology(transient=(self.PATH,), stable=((self.RING, 1.0),))
+        assert topology.fixed_at(1, 3, frozenset(range(4))) is None
+        assert topology.fixed_at(2, 3, frozenset(range(4))) is None
+
+
 class TestValidationErrors:
     def test_empty_active_set(self):
         data = base_dict()
@@ -472,6 +542,18 @@ class TestValidationWarnings:
         data["topology"] = {"type": "random_family", "min_out_degree": 1}
         assert errors_of(data) == []
         assert warnings_of(data) == ["late-churn"]
+
+    def test_churn_that_never_fires_admits_no_node(self):
+        # Without arrival weight a node is admitted only by a departure
+        # drawn when one node is left, so some step must fire.
+        data = base_dict()
+        data["initially_active"] = []
+        data["churn"] = {
+            "type": "stochastic",
+            "intervals": [{"start": 0, "end": 5, "event_prob": 0.0}],
+        }
+        data["topology"] = {"type": "random_family", "min_out_degree": 1}
+        assert errors_of(data) == ["membership"]
 
     def test_disconnected_stable_union(self):
         data = base_dict()
