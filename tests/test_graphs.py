@@ -399,11 +399,20 @@ class TestChoiceReplay:
     over ``_choice_bounds`` against numpy's ``Generator.choice(m, take,
     replace=False)`` on the generator the stream replays. Only Floyd's
     algorithm is replayed: above m = 10000 numpy may shuffle a tail
-    instead, and MAX_N_TOTAL keeps every family's m at 9999 or below."""
+    instead, so ``_choice_bounds`` refuses those sizes; MAX_N_TOTAL keeps
+    every family's m at 9999 or below."""
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 799, 10000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 799, 10000, 10001, 10050, 20000])
     def test_replay_equals_choice(self, m):
         takes = sorted({t for t in (1, 2, 3, m // 50, m // 50 + 1, m) if 1 <= t <= m})
+        if m > 10000:
+            # A node of a family over n nodes draws from m = n - 1 others.
+            assert MAX_N_TOTAL - 1 <= 10000
+            # take 1 is Floyd's algorithm in numpy, m // 50 + 1 the tail shuffle
+            for take in takes:
+                with pytest.raises(ValueError, match=f"choice over {m} items"):
+                    _choice_bounds(m, take)
+            return
         for take in takes:
             for seed in range(4):
                 stream, ref_rng = rng.stream(seed, "x"), reference(seed, "x")
@@ -415,12 +424,3 @@ class TestChoiceReplay:
                 # One more draw seeds a stream that drew nothing (m = 1).
                 assert stream.integers(0, 2**40) == ref_rng.integers(0, 2**40)
                 assert pcg_state(stream) == ref_rng.bit_generator.state
-
-    def test_choice_above_10000_items_is_refused(self):
-        # A node of a family over n nodes draws from m = n - 1 others.
-        assert MAX_N_TOTAL - 1 <= 10000
-        for m in (10001, 10050, 20000):
-            # take 1 is Floyd's algorithm in numpy, m // 50 + 1 the tail shuffle
-            for take in (1, m // 50 + 1, m):
-                with pytest.raises(ValueError, match=f"choice over {m} items"):
-                    _choice_bounds(m, take)
