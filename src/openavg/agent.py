@@ -109,16 +109,10 @@ def remaining_step(
     is untouched: receive() builds its next one at the barrier.
 
     A node that cannot draw, holding z <= 1 tokens or without targets,
-    keeps its whole holding: nothing is drawn from ``rng``, as the split
-    would draw nothing either.
+    keeps its whole holding, and the split draws no word from ``rng``.
     """
     if node in targets:
         raise ValueError("self must not appear among targets")
-    if state.z <= 1 or not targets:
-        cell = cells[node]
-        cell[0] += state.y
-        cell[1] += state.z
-        return
     receivers = sorted(targets)
     receivers.append(node)
     for receiver, (y, z) in zip(receivers, split_mass(state.y, state.z, len(receivers), rng)):

@@ -251,7 +251,7 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         # the order of the violations. The step's agent streams share the
         # head (seed, agent, k). A remaining node that cannot draw (z <= 1,
         # or no remaining out-neighbor) gets no stream: it keeps its
-        # holding, as remaining_step would.
+        # holding, as split_mass would.
         agents = rng.stream_head(seed, rng.TAG_AGENT, k)
         heads, remaining = instance.heads, membership.remaining
         for v, state in per_node.items():

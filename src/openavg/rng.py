@@ -31,9 +31,10 @@ bit, in Python:
   with the generator in locals. A random instance's draws are one such
   batch, as none of their bounds depends on an earlier draw.
 
-A stream seeds itself on its first draw, so a holder that never draws
-never pays for the mixing. Every draw of a run, random instance families
-included, is made here, so traces do not depend on the installed numpy.
+A stream is seeded when it is built, so the engine builds an agent
+stream only for a departer or a remaining node that draws. Every draw
+of a run, random instance families included, is made here, so traces
+do not depend on the installed numpy.
 NumPy's RNG policy (NEP 19) keeps ``SeedSequence`` and ``PCG64`` output
 stable, but not ``Generator.integers`` or ``choice``, so the replay is
 pinned to numpy 2.4.6, and the tests compare every draw and state with it.
@@ -271,32 +272,25 @@ class Stream:
     """numpy's ``default_rng(SeedSequence(key words))``, replayed in Python,
     for the key of ``head``'s parts followed by ``last``.
 
-    The generator is seeded on the first draw that needs a random word,
-    so a holder that never draws never pays for seeding. Its draws,
-    and its PCG64 state afterwards, are numpy's for the same calls.
+    The generator is seeded when the stream is built, so build one only
+    for a holder that draws. Its draws, and its PCG64 state afterwards,
+    are numpy's for the same calls.
     """
 
-    __slots__ = ("_head", "_last", "_state", "_inc", "_has_uint32", "_uinteger")
+    __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger")
 
     def __init__(self, head: StreamHead, last: int | str) -> None:
-        self._head = head
-        self._last = last
-        self._inc = 0  # odd once seeded
-        self._has_uint32 = 0
-
-    def _seed(self) -> None:
-        """numpy's ``pcg64_set_seed``: state and increment from the seed
-        words, then two LCG steps with the initial state added between."""
-        w0, w1, w2, w3 = _seed_words_after(self._head, self._last)
+        # numpy's ``pcg64_set_seed``: state and increment from the seed
+        # words, then two LCG steps with the initial state added between.
+        w0, w1, w2, w3 = _seed_words_after(head, last)
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         self._inc = inc
         self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        self._has_uint32 = 0
         self._uinteger = 0
 
     def _next64(self) -> int:
         """Step the 128-bit LCG and return its XSL-RR output."""
-        if not self._inc:
-            self._seed()
         state = (self._state * _PCG_MULT + self._inc) & _MASK128
         self._state = state
         x = (state >> 64 ^ state) & _MASK64
@@ -363,10 +357,6 @@ class Stream:
             low < min(highs) and max(highs) <= 1 << 63
         ):
             raise ValueError(f"need -2**63 <= low < every high <= 2**63, got {low}, {highs}")
-        if not self._inc:
-            if max(highs, default=low) <= low + 1:
-                return [low] * len(highs)  # nothing to draw, so nothing to seed
-            self._seed()
         state, inc = self._state, self._inc
         has_uint32, uinteger = self._has_uint32, self._uinteger
         out: list[int] = []

@@ -345,7 +345,10 @@ def _explicit_topology(obj: dict[str, Any], where: str, n_total: int) -> Explici
         if "nodes" not in entry:
             raise ScenarioFormatError(f"{w}: stable instances need explicit 'nodes'")
         prob = _field(entry, "p", w, _as_number)
-        stable.append((instance(entry, w), prob))
+        g = instance(entry, w)
+        if not g.nodes:
+            raise ScenarioFormatError(f"{w}.nodes: a stable instance needs at least one node")
+        stable.append((g, prob))
     return ExplicitTopology(transient=tuple(transient), stable=tuple(stable))
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openavg import rng
 from openavg.agent import (
     AgentState,
     Surplus,
@@ -154,11 +155,14 @@ class TestRemainingStep:
     )
     def test_node_that_cannot_draw_keeps_what_the_split_keeps(self, z, targets):
         # With z <= 1 or no target the split draws nothing (a range of one
-        # candidate draws no word), so the fast path must leave its cells
-        # and draw nothing at all: ScriptedRng([]) fails on any call.
+        # candidate draws no word): the cells are the split's, and the
+        # stream is left in the state it was seeded in.
         before = state(x=1, y=-9, z=z)
         cells = cells_for(0, 1, 2)
-        remaining_step(before, 0, targets, ScriptedRng([]), cells)
+        draws = rng.stream(0, rng.TAG_AGENT, 0, 0)
+        remaining_step(before, 0, targets, draws, cells)
+        fresh = rng.stream(0, rng.TAG_AGENT, 0, 0)
+        assert (draws._state, draws._has_uint32) == (fresh._state, fresh._has_uint32)
         expected = cells_for(0, 1, 2)
         receivers = [*sorted(targets), 0]
         sums = split_mass(-9, z, len(receivers), np.random.default_rng(0))

@@ -202,6 +202,20 @@ class TestFamilySizeLimit:
         assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_empty_stable_instance_exits_two(scenarios_dir, tmp_path, capsys, command):
+    data = json.loads((scenarios_dir / "static_small.json").read_text())
+    data["topology"]["stable"] = [{"nodes": [], "edges": [], "p": 1.0}]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+    assert invoke(*argv) == 2
+    err = capsys.readouterr().err
+    assert "a stable instance needs at least one node" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 class TestRunCommand:
     def test_writes_trace_per_seed(self, scenarios_dir, tmp_path, capsys):
         code = invoke(

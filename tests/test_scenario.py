@@ -3,8 +3,11 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from openavg.graphs import DigraphInstance
 from openavg.scenario import (
@@ -23,6 +26,10 @@ from openavg.scenario import (
     parse_scenario,
     validate_scenario,
 )
+
+
+# A stable topology whose one instance has no node.
+EMPTY_STABLE = [{"nodes": [], "edges": [], "p": 1.0}]
 
 
 def base_dict():
@@ -132,6 +139,7 @@ class TestParsing:
             lambda d: d["topology"]["stable"][0].pop("nodes"),
             lambda d: d["topology"].update(stable=[]),
             lambda d: d["initial_states"]["values"].update({"zero": 1}),
+            lambda d: d["topology"].update(stable=EMPTY_STABLE),
         ],
     )
     def test_malformed_inputs_raise_format_error(self, mutate):
@@ -227,6 +235,70 @@ class TestBundledScenarios:
     def test_churn_scenario_validates_strict(self, scenarios_dir):
         s = load_scenario(scenarios_dir / "paper_sec5.json")
         assert validate_scenario(s).ok(strict=True)
+
+
+BUNDLED = {
+    path.stem: json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+}
+# What a mutation puts in place of a value, or DROP to delete its key.
+ATOMS = [0, -1, 2**64, math.nan, math.inf, -math.inf, True, None, "", [], {}, [[0, 0]]]
+DROP = "<drop>"
+
+
+def locations(value, path=()):
+    """The path of keys and indices of every value nested in ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield (*path, key)
+        yield from locations(child, (*path, key))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario's name and one to three edits of its JSON: a
+    location, and an atom to put there or DROP."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    location = st.sampled_from(list(locations(BUNDLED[name])))
+    edit = st.tuples(location, st.sampled_from([DROP, *ATOMS]))
+    return name, draw(st.lists(edit, min_size=1, max_size=3))
+
+
+def mutate(data, edits):
+    """A copy of ``data`` with the edits applied in order; an edit whose
+    location an earlier one removed is skipped."""
+    data = copy.deepcopy(data)
+    for path, value in edits:
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if value == DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    return data
+
+
+class TestInputFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(case=mutated_scenarios())
+    @example(case=("static_small", [(("topology", "stable"), EMPTY_STABLE)]))
+    def test_parse_refuses_only_as_format_error_and_validate_never_raises(self, case):
+        name, edits = case
+        try:
+            scenario = parse_scenario(mutate(BUNDLED[name], edits))
+        except ScenarioFormatError:
+            return
+        validate_scenario(scenario)
 
 
 def stochastic_churn(start, event_prob):
