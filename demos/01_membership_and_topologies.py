@@ -32,7 +32,7 @@ print("departing      ", sorted(m.departing))
 # The remaining set is what message routing cares about: anything sent
 # to a departing node would leave the system with it.
 ring = directed_cycle(sorted(now))
-print("\nring edges     ", sorted(ring.edges))
+print("\nring heads     ", ring.heads)
 for v in sorted(now):
     print(
         f"node {v}: out-neighbors {sorted(out_neighbors(ring, v))}, "
@@ -48,9 +48,9 @@ rng = stream(2024, "demo")
 family = generate_instance_family(range(8), count=4, min_out_degree=1, rng=rng)
 for i, inst in enumerate(family):
     print(
-        f"\ninstance {i}: {len(inst.edges)} edges, "
+        f"\ninstance {i}: {sum(map(len, inst.heads.values()))} edges, "
         f"strongly connected alone: {is_strongly_connected(inst)}"
     )
 merged = union_digraph(family)
-print(f"\nunion: {len(merged.edges)} edges, strongly connected:",
+print(f"\nunion: {sum(map(len, merged.heads.values()))} edges, strongly connected:",
       is_strongly_connected(merged))

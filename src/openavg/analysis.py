@@ -76,7 +76,6 @@ class ConvergenceReport:
     average: Fraction
     band: frozenset[int]
     final_estimates: dict[int, int]
-    residual_error: int
 
 
 def convergence_time(trace: Sequence["RoundRecord"], from_step: int) -> ConvergenceReport:
@@ -114,7 +113,6 @@ def convergence_time(trace: Sequence["RoundRecord"], from_step: int) -> Converge
         average=average,
         band=band,
         final_estimates=final,
-        residual_error=window[-1].epsilon,
     )
 
 

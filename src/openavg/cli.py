@@ -119,19 +119,17 @@ def _summarize(scenario: Scenario, seed: int, records: list[RoundRecord]) -> dic
         settle = "" if report.settle_step is None else str(report.settle_step)
         average = f"{report.average.numerator}/{report.average.denominator}"
         band = "|".join(str(b) for b in sorted(report.band))
-        residual = report.residual_error
     except ValueError:
         # membership kept changing inside the judged window
         converged = False
         settle, average, band = "", "", ""
-        residual = records[-1].epsilon
     return {
         "seed": seed,
         "converged": converged,
         "settle_step": settle,
         "average": average,
         "band": band,
-        "residual_error": residual,
+        "residual_error": records[-1].epsilon,
         "max_abs_y_imbalance": max_y,
         "max_abs_z_imbalance": max_z,
         "violation_count": sum(len(r.violations) for r in records),

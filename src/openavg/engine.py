@@ -157,10 +157,7 @@ def _drawn_membership(
     # cannot go the drawn way goes the other way if it can.
     can_depart = len(active) > 1
     if inactive_count and (wants_arrival or not can_depart):
-        arrival = _nth_inactive(active, stream.integers(0, inactive_count))
-        if arrival in active:
-            raise EngineInvariantError(f"step {step}: node {arrival} arrives while active")
-        return active | {arrival}
+        return active | {_nth_inactive(active, stream.integers(0, inactive_count))}
     if not can_depart:
         return active
     active_pool = sorted(active)

@@ -58,11 +58,6 @@ class DigraphInstance:
             heads.setdefault(tail, set()).add(head)
         return cls(nodes, {v: tuple(sorted(hs)) for v, hs in heads.items()})
 
-    @property
-    def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
-        """The (tail, head) pairs of the instance."""
-        return frozenset((v, h) for v, hs in self.heads.items() for h in hs)
-
     def restricted_to(self, active: frozenset[NodeId]) -> "DigraphInstance":
         """Instance covering exactly ``active``: edges touching other nodes
         are dropped, and active nodes this instance omits become isolated."""

@@ -65,20 +65,9 @@ def write_trace_csv(records: Sequence[RoundRecord], n_total: int, path: str | Pa
 
 
 def write_summary_csv(rows: Sequence[dict[str, object]], path: str | Path) -> None:
-    """Sweep summary, one row per seed."""
-    fields = [
-        "seed",
-        "converged",
-        "settle_step",
-        "average",
-        "band",
-        "residual_error",
-        "max_abs_y_imbalance",
-        "max_abs_z_imbalance",
-        "violation_count",
-    ]
+    """Sweep summary, one row per seed, its columns the keys of the first row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 

@@ -248,12 +248,6 @@ def _seed_words_after(head: StreamHead, last: int | str) -> tuple[int, int, int,
     )
 
 
-def _seed_words(parts: tuple[int | str, ...]) -> tuple[int, int, int, int]:
-    """The four uint64 words ``SeedSequence`` hands PCG64 for the key
-    ``parts``, through the cached head of every part but the last."""
-    return _seed_words_after(stream_head(*parts[:-1]), parts[-1])
-
-
 class IntegerDraws(Protocol):
     """The one RNG method the agent and family draws need: a uniform int in
     [low, high), or one per bound for a sequence of bounds, as numpy's

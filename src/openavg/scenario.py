@@ -546,7 +546,8 @@ def membership_history(s: Scenario) -> list[frozenset[NodeId]] | None:
     Explicit churn (``"none"`` included) fixes it: an event at step k
     takes effect from step k + 1. So does stochastic churn that has no
     ``firing_intervals``. Entry k is the set active during step k; the
-    last entry is the set after the horizon.
+    last entry is the set after the horizon. The entries between two
+    events are one set object.
     """
     if firing_intervals(s):
         return None
@@ -707,9 +708,10 @@ def _check_topology(
         return
     # The engine draws a stable instance at every step from k_prime through
     # the horizon. A k_prime outside [0, horizon], an error itself, is clamped.
+    # Entries between two events are one object: compare where it changes.
     start = min(max(s.k_prime, 0), len(history) - 1)
     for k in range(start, max(start, s.horizon) + 1):
-        if history[k] != stable_nodes:
+        if (k == start or history[k] is not history[k - 1]) and history[k] != stable_nodes:
             when = "from k_prime on" if k == start else f"at step {k}"
             out.add(
                 "topology-stable-nodes",

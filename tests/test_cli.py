@@ -295,6 +295,10 @@ class TestSweepCommand:
         )
         assert code == 0
         path = tmp_path / "static_small-sweep.csv"
+        assert path.read_text().split("\n", 1)[0] == (
+            "seed,converged,settle_step,average,band,residual_error,"
+            "max_abs_y_imbalance,max_abs_z_imbalance,violation_count"
+        )
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["seed"] for r in rows] == ["7", "8", "9"]

@@ -144,9 +144,12 @@ KEY_SHAPES = [
 
 @pytest.mark.parametrize("key", KEY_SHAPES)
 def test_seed_words_equal_seed_sequence(key):
+    *head_parts, last = key
     expected = np.random.SeedSequence(key_words(key)).generate_state(4, np.uint64)
-    assert rng._seed_words(key) == tuple(int(w) for w in expected)
-    assert rng._seed_words(key) == tuple(int(w) for w in expected)  # cached head
+    expected = tuple(int(w) for w in expected)
+    assert rng._seed_words_after(rng.stream_head(*head_parts), last) == expected
+    # cached head
+    assert rng._seed_words_after(rng.stream_head(*head_parts), last) == expected
 
 
 @pytest.mark.parametrize("key", KEY_SHAPES)
@@ -159,7 +162,7 @@ def test_streams_of_one_head_equal_seed_sequence(key):
         key = (*head_parts, part)
         words = np.random.SeedSequence(key_words(key)).generate_state(4, np.uint64)
         expected = tuple(int(w) for w in words)
-        assert rng._seed_words_after(head, part) == rng._seed_words(key) == expected
+        assert rng._seed_words_after(head, part) == expected
         assert_draws_equal(rng.Stream(head, part), reference(*key), CALLS, key)
 
 

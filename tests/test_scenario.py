@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -692,3 +693,26 @@ class TestLateChurnUnderStableTopology:
         data = self.late_departure()
         data["horizon"] = 5
         assert errors_of(data) == []
+
+    def test_stable_nodes_are_compared_once_per_membership_change(self):
+        class CountingNodes(frozenset):
+            """Python calls a subclass's ``__ne__`` first, from either side."""
+
+            compared = 0
+
+            def __ne__(self, other):
+                if other is not self:
+                    CountingNodes.compared += 1
+                return frozenset.__ne__(self, other)
+
+        data = self.late_departure()
+        data["horizon"] = 1000
+        # Two events that change nothing: each still gives a new set object.
+        data["churn"]["events"] = [{"step": 100}, {"step": 200}]
+        s = parse_scenario(data)
+        (g, p), = s.topology.stable
+        stable = ((DigraphInstance(CountingNodes(g.nodes), g.heads), p),)
+        report = validate_scenario(replace(s, topology=replace(s.topology, stable=stable)))
+        assert not report.errors()
+        # The step k_prime, then the step after each event.
+        assert CountingNodes.compared == 3
