@@ -2,9 +2,8 @@
 
 One step k works on the active set V[k]:
 
-1. resolve membership: the active set after this boundary comes from
-   ``scenario.membership_history``, or is drawn at the steps of
-   ``scenario.firing_intervals``
+1. resolve membership: the active set after this boundary is the next
+   one ``scenario.active_sets`` yields, scheduled or drawn
 2. draw the directed topology instance for the step, unless
    ``ExplicitTopology.fixed_at`` fixes it
 3. record every node's state at the start of the step
@@ -42,15 +41,13 @@ from .graphs import (
     out_neighbors,  # noqa: F401  (perfbench's tests trace it through this name)
 )
 from .scenario import (
-    ChurnInterval,
     ExplicitStates,
     ExplicitTopology,
     RandomFamilyTopology,
     Scenario,
     ScenarioValidationError,
     StateSource,
-    firing_intervals,
-    membership_history,
+    active_sets,
     validate_scenario,
 )
 
@@ -139,42 +136,6 @@ def draw_topology(
     return chosen
 
 
-def _drawn_membership(
-    scenario: Scenario, churn: Sequence[ChurnInterval], seed: int, step: int, active: frozenset[int]
-) -> frozenset[int]:
-    """The active set after this step boundary, where ``churn`` is the
-    scenario's ``firing_intervals``."""
-    interval = next((iv for iv in churn if iv.start <= step <= iv.end), None)
-    if interval is None:
-        return active
-    stream = rng.stream(seed, rng.TAG_CHURN, step)
-    if stream.random() >= interval.event_prob:
-        return active
-    weight_sum = interval.arrival_weight + interval.departure_weight
-    wants_arrival = stream.random() < interval.arrival_weight / weight_sum
-    inactive_count = scenario.n_total - len(active)
-    # A departure must leave at least one node behind; an event that
-    # cannot go the drawn way goes the other way if it can.
-    can_depart = len(active) > 1
-    if inactive_count and (wants_arrival or not can_depart):
-        return active | {_nth_inactive(active, stream.integers(0, inactive_count))}
-    if not can_depart:
-        return active
-    active_pool = sorted(active)
-    return active - {active_pool[stream.integers(0, len(active_pool))]}
-
-
-def _nth_inactive(active: frozenset[int], index: int) -> int:
-    """The ``index``-th smallest id >= 0 outside ``active``, found by
-    walking the active ids instead of listing the inactive ones."""
-    pick = index
-    for v in sorted(active):
-        if v > pick:
-            break
-        pick += 1
-    return pick
-
-
 def _state_value(
     source: StateSource | None, node: int, seed: int, *stream_key: int | str
 ) -> int:
@@ -207,8 +168,6 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     if not 0 <= seed <= rng.MAX_SEED:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
 
-    history = membership_history(scenario)
-    churn = firing_intervals(scenario)
     # Only the active set's family is held; a set that returns redraws it.
     random_family = isinstance(scenario.topology, RandomFamilyTopology)
     family_nodes, family = None, None
@@ -219,16 +178,15 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
         )
         for v in sorted(scenario.initially_active)
     }
-    active = frozenset(scenario.initially_active)
+    sets = active_sets(scenario, seed)
+    active = next(sets)
     # Surplus (y - 2x, z - 2) destroyed by stranded departures so far.
     lost_y = lost_z = 0
 
     records: list[RoundRecord] = []
     average = None  # of the active set, computed when the set changes
     for k in range(scenario.horizon + 1):
-        next_active = (
-            history[k + 1] if history else _drawn_membership(scenario, churn, seed, k, active)
-        )
+        next_active = next(sets)
         membership = membership_sets(active, next_active)
         if random_family and active != family_nodes:
             family = None  # freed before the next one is drawn

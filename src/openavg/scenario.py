@@ -13,8 +13,8 @@ departures that would strand mass) are collected by validate_scenario()
 as findings with severities, so callers can decide how hard to fail.
 The validator checks, and the engine runs, what three functions state
 once: when stochastic churn fires (firing_intervals), the active set of
-every step when churn is fixed before the run (membership_history), and
-the explicit instance in force when no draw picks it (fixed_at).
+every step, scheduled or drawn, one set at a time (active_sets), and the
+explicit instance in force when no draw picks it (fixed_at).
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice, pairwise
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
 
 from .graphs import DigraphInstance, NodeId, is_strongly_connected, union_digraph
-from .rng import MAX_SEED
+from .rng import MAX_SEED, TAG_CHURN, Stream, stream
 
 
 class ScenarioFormatError(Exception):
@@ -412,7 +413,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read and parse a scenario JSON file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
@@ -539,32 +540,70 @@ def firing_intervals(s: Scenario) -> tuple[ChurnInterval, ...]:
     )
 
 
-def membership_history(s: Scenario) -> list[frozenset[NodeId]] | None:
-    """The active set at every step 0..horizon+1 when it is fixed before
-    the run, or None when the run draws it.
+def active_sets(s: Scenario, seed: int) -> Iterator[frozenset[NodeId]]:
+    """The active set of every step 0..horizon+1: the set active during
+    step k, then the set after the horizon.
 
-    Explicit churn (``"none"`` included) fixes it: an event at step k
-    takes effect from step k + 1. So does stochastic churn that has no
-    ``firing_intervals``. Entry k is the set active during step k; the
-    last entry is the set after the horizon. The entries between two
-    events are one set object.
+    An event at step k takes effect from step k + 1: a scheduled one
+    (explicit churn; ``"none"`` has none), or one drawn from the stream
+    (seed, churn, k) at a step of ``firing_intervals``. Only the current
+    set is held, and a step that changes nothing yields it again.
     """
-    if firing_intervals(s):
-        return None
     by_step = {event.step: event for event in _events(s)}
+    churn = firing_intervals(s)
     active = frozenset(s.initially_active)
-    history = [active]
+    yield active
     for k in range(s.horizon + 1):
-        event = by_step.get(k)
-        if event is not None:
-            active = (active - event.departures) | event.arrivals
-        history.append(active)
-    return history
+        if k in by_step:
+            active = (active - by_step[k].departures) | by_step[k].arrivals
+        elif interval := next((iv for iv in churn if iv.start <= k <= iv.end), None):
+            active = _drawn_membership(s, interval, stream(seed, TAG_CHURN, k), active)
+        yield active
 
 
-def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]] | None:
+def _drawn_membership(
+    s: Scenario, interval: ChurnInterval, draws: Stream, active: frozenset[NodeId]
+) -> frozenset[NodeId]:
+    """The active set after a step of ``interval`` with the step's stream."""
+    if draws.random() >= interval.event_prob:
+        return active
+    weight_sum = interval.arrival_weight + interval.departure_weight
+    wants_arrival = draws.random() < interval.arrival_weight / weight_sum
+    inactive_count = s.n_total - len(active)
+    # A departure must leave at least one node behind; an event that
+    # cannot go the drawn way goes the other way if it can.
+    can_depart = len(active) > 1
+    if inactive_count and (wants_arrival or not can_depart):
+        return active | {_nth_inactive(active, draws.integers(0, inactive_count))}
+    if not can_depart:
+        return active
+    active_pool = sorted(active)
+    return active - {active_pool[draws.integers(0, len(active_pool))]}
+
+
+def _nth_inactive(active: frozenset[NodeId], index: int) -> NodeId:
+    """The ``index``-th smallest id >= 0 outside ``active``, found by
+    walking the active ids instead of listing the inactive ones."""
+    pick = index
+    for v in sorted(active):
+        if v > pick:
+            break
+        pick += 1
+    return pick
+
+
+def _met_sets(s: Scenario) -> Iterator[tuple[ChurnEvent, frozenset[NodeId], frozenset[NodeId]]]:
+    """Each scheduled event with the active sets before and after it."""
+    by_step = {event.step: event for event in _events(s)}
+    walk = islice(pairwise(active_sets(s, s.seed)), max(by_step, default=-1) + 1)
+    for k, (active, after) in enumerate(walk):
+        if k in by_step:
+            yield by_step[k], active, after
+
+
+def _check_explicit_churn(s: Scenario, out: _Findings) -> bool:
     """Event checks, then each event against the active set it meets.
-    Returns the membership history, or None after any error."""
+    Returns whether no error was found."""
     assert isinstance(s.churn, ExplicitChurn)
     touched = {v for e in s.churn.events for v in e.arrivals | e.departures}
     if _outside(touched, s.n_total):
@@ -582,19 +621,17 @@ def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]
                 f"k_prime={s.k_prime}; post-stabilization guarantees do not apply",
             )
     if any(f.severity == "error" for f in out):
-        return None
+        return False
 
     steps = [event.step for event in s.churn.events]  # sorted as parsed
     repeated = next((k for k, j in zip(steps, steps[1:]) if k == j), None)
     if repeated is not None:
         out.add("churn-duplicate-step", "error", f"two churn events scheduled at step {repeated}")
-        return None
+        return False
 
-    history = membership_history(s)
-    assert history is not None
     before = len(out)
-    for event in s.churn.events:
-        k, active = event.step, history[event.step]
+    for event, active, after in _met_sets(s):
+        k = event.step
         if event.arrivals & event.departures:
             out.add(
                 "churn-overlap", "error", f"step {k}: nodes listed as both arriving and departing"
@@ -611,9 +648,9 @@ def _check_explicit_churn(s: Scenario, out: _Findings) -> list[frozenset[NodeId]
                 "error",
                 f"step {k}: departures {sorted(event.departures - active)} are not active",
             )
-        if not history[k + 1]:
+        if not after:
             out.add("churn-empty-network", "error", f"step {k}: the network would become empty")
-    return history if len(out) == before else None
+    return len(out) == before
 
 
 def _check_stochastic_churn(s: Scenario, out: _Findings) -> None:
@@ -641,9 +678,7 @@ def _check_stochastic_churn(s: Scenario, out: _Findings) -> None:
             )
 
 
-def _check_topology(
-    s: Scenario, history: list[frozenset[NodeId]] | None, out: _Findings
-) -> None:
+def _check_topology(s: Scenario, fixed: bool, out: _Findings) -> None:
     topo = s.topology
     if isinstance(topo, RandomFamilyTopology):
         if topo.min_out_degree < 1:
@@ -697,7 +732,7 @@ def _check_topology(
             "warning",
             f"T={s.family_size} but {len(topo.stable)} stable instances are listed",
         )
-    if history is None:
+    if not fixed:
         if firing_intervals(s):
             out.add(
                 "topology-stable-nodes",
@@ -707,27 +742,28 @@ def _check_topology(
             )
         return
     # The engine draws a stable instance at every step from k_prime through
-    # the horizon. A k_prime outside [0, horizon], an error itself, is clamped.
-    # Entries between two events are one object: compare where it changes.
-    start = min(max(s.k_prime, 0), len(history) - 1)
-    for k in range(start, max(start, s.horizon) + 1):
-        if (k == start or history[k] is not history[k - 1]) and history[k] != stable_nodes:
+    # the horizon. A k_prime outside [0, horizon], an error itself, is clamped
+    # to the steps active_sets yields. A step that changes nothing yields the
+    # same set object: compare where it changes.
+    start = min(max(s.k_prime, 0), max(s.horizon + 1, 0))
+    steps, previous = islice(active_sets(s, s.seed), start, max(start, s.horizon) + 1), None
+    for k, active in enumerate(steps, start):
+        if active is not previous and active != stable_nodes:
             when = "from k_prime on" if k == start else f"at step {k}"
             out.add(
                 "topology-stable-nodes",
                 "error",
                 f"stable instances cover {sorted(stable_nodes)} but the "
-                f"active set {when} is {sorted(history[k])}",
+                f"active set {when} is {sorted(active)}",
             )
             break
+        previous = active
 
 
-def _check_departures(
-    s: Scenario, history: list[frozenset[NodeId]] | None, out: _Findings
-) -> None:
+def _check_departures(s: Scenario, fixed: bool, out: _Findings) -> None:
     """The departure condition, checked against the instance the engine
     will use wherever that instance is known before the run."""
-    if history is None:
+    if not fixed:
         if firing_intervals(s):
             out.add(
                 "stranded-departure",
@@ -738,12 +774,12 @@ def _check_departures(
     topo = s.topology
     if not isinstance(topo, ExplicitTopology):
         return
-    for event in _events(s):
+    for event, active, _ in _met_sets(s):
         k = event.step
-        g = topo.fixed_at(k, s.k_prime, history[k])
+        g = topo.fixed_at(k, s.k_prime, active)
         if g is None:
             continue  # drawn at runtime, or missing: a topology-transient error
-        remaining = history[k] - event.departures
+        remaining = active - event.departures
         for v in sorted(event.departures):
             # The engine refuses a stable instance that misses an active node.
             if v in g.nodes and remaining.isdisjoint(g.heads.get(v, ())):
@@ -763,10 +799,10 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     _check_basics(s, out)
     _check_state_sources(s, out)
     if isinstance(s.churn, ExplicitChurn):
-        history = _check_explicit_churn(s, out)
+        fixed = _check_explicit_churn(s, out)
     else:
         _check_stochastic_churn(s, out)
-        history = membership_history(s)
-    _check_topology(s, history, out)
-    _check_departures(s, history, out)
+        fixed = not firing_intervals(s)
+    _check_topology(s, fixed, out)
+    _check_departures(s, fixed, out)
     return ValidationReport(findings=tuple(out))

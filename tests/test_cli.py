@@ -216,6 +216,19 @@ def test_empty_stable_instance_exits_two(scenarios_dir, tmp_path, capsys, comman
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_file_not_utf8_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+    assert invoke(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load scenario: cannot read {path}: ")
+    assert "can't decode byte 0xff" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 class TestRunCommand:
     def test_writes_trace_per_seed(self, scenarios_dir, tmp_path, capsys):
         code = invoke(

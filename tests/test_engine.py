@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import random
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,6 @@ from openavg.analysis import conservation_audit
 from openavg.engine import (
     EngineInvariantError,
     _family,
-    _nth_inactive,
     draw_topology,
     run,
 )
@@ -399,14 +397,6 @@ class TestHotPathEquivalence:
                 eager = np.random.default_rng(np.random.SeedSequence([seed, tag, step, v]))
                 for high in (1, 2, 3, 7, 2, 100, 5):
                     assert lazy.integers(0, high) == int(eager.integers(0, high))
-
-    def test_nth_inactive_matches_listing(self):
-        pick = random.Random(4)
-        for _ in range(300):
-            n_total = pick.randint(1, 40)
-            active = frozenset(pick.sample(range(n_total), pick.randint(0, n_total)))
-            inactive = [v for v in range(n_total) if v not in active]
-            assert [_nth_inactive(active, i) for i in range(len(inactive))] == inactive
 
     def test_node_holding_one_token_seeds_no_agent_stream(self, monkeypatch):
         # Node 0 has no in-edge: once it routes a token away it keeps

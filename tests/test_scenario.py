@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +23,10 @@ from openavg.scenario import (
     ScenarioFormatError,
     StochasticChurn,
     UniformIntStates,
+    _nth_inactive,
+    active_sets,
     firing_intervals,
     load_scenario,
-    membership_history,
     parse_scenario,
     validate_scenario,
 )
@@ -289,6 +292,16 @@ def mutate(data, edits):
     return data
 
 
+def json_values():
+    """Any JSON value; object keys are often a scenario's own."""
+    keys = st.sampled_from(sorted(BUNDLED["paper_sec5"])) | st.text(max_size=5)
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(keys, inner, max_size=8),
+        max_leaves=30,
+    )
+
+
 class TestInputFuzz:
     @settings(derandomize=True, deadline=None, max_examples=600)
     @given(case=mutated_scenarios())
@@ -300,6 +313,18 @@ class TestInputFuzz:
         except ScenarioFormatError:
             return
         validate_scenario(scenario)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(raw=st.binary() | json_values().map(lambda value: json.dumps(value).encode()))
+    @example(raw=b"\xff")
+    @example(raw=b"\xef\xbb\xbf{}")
+    def test_load_refuses_only_as_format_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(raw)
+        try:
+            load_scenario(path)
+        except ScenarioFormatError:
+            pass
 
 
 def stochastic_churn(start, event_prob):
@@ -313,10 +338,10 @@ class TestMembershipHistory:
     it and the engine runs it."""
 
     @staticmethod
-    def history(horizon=5, k_prime=0, **changes):
+    def history(horizon=5, k_prime=0, seed=0, **changes):
         data = base_dict()
         data.update(horizon=horizon, k_prime=k_prime, **changes)
-        return membership_history(parse_scenario(data))
+        return list(active_sets(parse_scenario(data), seed))
 
     def test_event_takes_effect_from_the_next_step(self):
         churn = {"type": "explicit", "events": [
@@ -341,18 +366,69 @@ class TestMembershipHistory:
         stochastic_churn(3, 1.0),
     ], ids=["none", "never-fires", "starts-at-k-prime"])
     def test_churn_that_cannot_change_membership_gives_a_constant_history(self, churn):
-        assert self.history(k_prime=3, churn=churn) == [{0, 1, 2, 3}] * 7
+        history = self.history(k_prime=3, churn=churn)
+        assert history == [{0, 1, 2, 3}] * 7
+        assert all(entry is history[0] for entry in history)
 
     def test_stochastic_churn_before_k_prime_is_drawn(self):
-        assert self.history(k_prime=3, churn=stochastic_churn(2, 0.5)) is None
+        # The interval fires surely at step 2, its one step before k_prime;
+        # with every node active the event is a departure.
+        churn = stochastic_churn(2, 1.0)
+        history = self.history(k_prime=3, churn=churn, seed=1)
+        assert history[:3] == [{0, 1, 2, 3}] * 3
+        assert len(history[3]) == 3
+        assert all(entry is history[3] for entry in history[3:])
+        assert self.history(k_prime=3, churn=churn, seed=1) == history
+        departed = {min({0, 1, 2, 3} - self.history(k_prime=3, churn=churn, seed=seed)[3])
+                    for seed in range(20)}
+        assert len(departed) > 1
 
     def test_engine_runs_the_history(self, scenarios_dir):
         from openavg.engine import run
 
-        s = load_scenario(scenarios_dir / "theorem1_violation.json")
-        history = membership_history(s)
-        assert [record.active for record in run(s, 1)] == history[:-1]
-        assert len(set(history)) > 1
+        changes = {"static_small": False, "theorem1_violation": True, "paper_sec5": True}
+        for name, churns in changes.items():
+            s = load_scenario(scenarios_dir / f"{name}.json")
+            history = list(active_sets(s, 1))
+            records = run(s, 1)
+            assert [record.active for record in records] == history[:-1]
+            last = records[-1].membership
+            assert last.remaining | last.arriving == history[-1]
+            assert (len(set(history)) > 1) == churns
+
+    def test_nth_inactive_matches_listing(self):
+        pick = random.Random(4)
+        for _ in range(300):
+            n_total = pick.randint(1, 40)
+            active = frozenset(pick.sample(range(n_total), pick.randint(0, n_total)))
+            inactive = [v for v in range(n_total) if v not in active]
+            assert [_nth_inactive(active, i) for i in range(len(inactive))] == inactive
+
+    def test_validation_holds_one_active_set_at_a_time(self):
+        # 400 single-node departures from 10,000 active nodes: a list of
+        # the sets would hold one of about 0.5 MB per event.
+        n_total = 10_000
+        data = base_dict()
+        data.update(
+            n_total=n_total,
+            initially_active=list(range(n_total)),
+            initial_states={"type": "uniform_int", "low": 0, "high": 9},
+            churn={"type": "explicit",
+                   "events": [{"step": k, "departures": [k]} for k in range(400)]},
+            topology={"type": "random_family", "min_out_degree": 1},
+            k_prime=400,
+            T=1,
+            horizon=1000,
+        )
+        s = parse_scenario(data)
+        tracemalloc.start()
+        try:
+            report = validate_scenario(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok(strict=True)
+        assert peak < 10 * 2**20
 
 
 class TestFiringIntervals:
