@@ -191,20 +191,17 @@ def _choice_bounds(m: int, take: int) -> list[int]:
 
 
 def _choice(m: int, take: int, values: Iterator[int]) -> list[int]:
-    """numpy 2.4.6's ``Generator.choice(m, take, replace=False)``, replayed
-    on ``values`` drawn within ``_choice_bounds(m, take)``: it consumes
-    one value per bound, and its picks are numpy's for those draws."""
-    picks: list[int] = []
-    seen: set[int] = set()
+    """The set numpy 2.4.6's ``Generator.choice(m, take, replace=False)``
+    picks, ascending, on ``values`` drawn within ``_choice_bounds(m, take)``:
+    Floyd's algorithm fixes the set, and the shuffle's ``take - 1`` values
+    after it only reorder it, so they are consumed unread."""
+    picks: set[int] = set()
     for j in range(m - take, m):
         value = next(values)
-        pick = j if value in seen else value
-        seen.add(pick)
-        picks.append(pick)
-    for i in range(take - 1, 0, -1):
-        j = next(values)
-        picks[i], picks[j] = picks[j], picks[i]
-    return picks
+        picks.add(j if value in picks else value)
+    for _ in range(take - 1):
+        next(values)
+    return sorted(picks)
 
 
 def _instance_draws(
@@ -234,7 +231,6 @@ def _build_instance(
     heads = {}
     for pos, v in enumerate(ordered):
         picks = _choice(m, take, values)
-        picks.sort()
         heads[v] = tuple([ordered[i if i < pos else i + 1] for i in picks])
     return DigraphInstance(nodes, heads)
 
@@ -245,11 +241,11 @@ def random_out_degree_instance(
     """Draw an instance where every node gets ``min_out_degree`` distinct
     out-neighbors chosen uniformly without replacement (capped at n-1).
 
-    Node by node in sorted order, the picks and the generator state
-    afterwards are those of ``rng.choice(n - 1, size=take, replace=False)``
-    over the other nodes, with ``take`` the capped degree. Every node's
-    draws have the same bounds, so all of them come from one ``integers``
-    call.
+    Node by node in sorted order, the set of picks and the generator
+    state afterwards are those of ``rng.choice(n - 1, size=take,
+    replace=False)`` over the other nodes, with ``take`` the capped
+    degree. Every node's draws have the same bounds, so all of them come
+    from one ``integers`` call.
     """
     ordered, take, bounds = _instance_draws(nodes, min_out_degree)
     return _build_instance(frozenset(ordered), ordered, take, rng.integers(0, bounds))

@@ -8,9 +8,9 @@ they are meant for quick visual inspection of a run, not publication.
 from __future__ import annotations
 
 import csv
-from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engine import RoundRecord
 
@@ -33,8 +33,7 @@ def trace_header(n_total: int) -> list[str]:
     ] + [f"qs_{v}" for v in range(n_total)]
 
 
-def trace_rows(records: Sequence[RoundRecord], n_total: int) -> list[list[str]]:
-    rows = []
+def trace_rows(records: Iterable[RoundRecord], n_total: int) -> Iterator[list[str]]:
     for r in records:
         violations = "|".join(f"{v.node}:{v.kind}" for v in r.violations)
         row = [
@@ -48,8 +47,7 @@ def trace_rows(records: Sequence[RoundRecord], n_total: int) -> list[list[str]]:
         ]
         for v in range(n_total):
             row.append(str(r.per_node[v].q_s) if v in r.per_node else "")
-        rows.append(row)
-    return rows
+        yield row
 
 
 def write_trace_csv(records: Sequence[RoundRecord], n_total: int, path: str | Path) -> None:
@@ -169,8 +167,8 @@ def _polyline(points: list[tuple[float, float]], color: str, dashed: bool = Fals
 def render_estimates_svg(records: Sequence[RoundRecord], n_total: int) -> str:
     """Per-node quantized estimates over time, true average dashed.
 
-    A node inactive for a while leaves a gap; each contiguous active
-    stretch is its own segment.
+    ``records`` are consecutive steps. A node inactive for a while leaves
+    a gap: each run of records that include it is its own segment.
     """
     values = [v.q_s for r in records for v in r.per_node.values()]
     averages = [float(r.q_true) for r in records]
@@ -181,23 +179,10 @@ def render_estimates_svg(records: Sequence[RoundRecord], n_total: int) -> str:
 
     for v in range(n_total):
         color = _PALETTE[v % len(_PALETTE)]
-        segment: list[tuple[float, float]] = []
-        previous_step = None
-        for r in records:
-            if v in r.per_node:
-                if previous_step is not None and r.step != previous_step + 1 and segment:
-                    if len(segment) > 1:
-                        parts.append(_polyline(segment, color))
-                    segment = []
-                segment.append((frame.x(r.step), frame.y(r.per_node[v].q_s)))
-                previous_step = r.step
-            else:
-                if len(segment) > 1:
-                    parts.append(_polyline(segment, color))
-                segment = []
-                previous_step = None
-        if len(segment) > 1:
-            parts.append(_polyline(segment, color))
+        for active, stretch in groupby(records, lambda r: v in r.per_node):
+            segment = [(frame.x(r.step), frame.y(r.per_node[v].q_s)) for r in stretch if active]
+            if len(segment) > 1:
+                parts.append(_polyline(segment, color))
 
     avg_points = [(frame.x(r.step), frame.y(float(r.q_true))) for r in records]
     parts.append(_polyline(avg_points, "#000000", dashed=True))

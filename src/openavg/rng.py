@@ -28,8 +28,9 @@ bit, in Python:
   ``integers(low, high_array)``, which draws each element with
   ``random_bounded_uint64``: one value per bound, equal to (and leaving
   the state of) the same scalar calls in order, drawn in one Python call
-  with the generator in locals. A random instance's draws are one such
-  batch, as none of their bounds depends on an earlier draw.
+  with the generator in locals, for spans up to 2**32 (a wider one is
+  refused). A random instance's draws are one such batch, as none of
+  their bounds depends on an earlier draw.
 
 A stream is seeded when it is built, so the engine builds an agent
 stream only for a departer or a remaining node that draws. Every draw
@@ -250,8 +251,8 @@ def _seed_words_after(head: StreamHead, last: int | str) -> tuple[int, int, int,
 
 class IntegerDraws(Protocol):
     """The one RNG method the agent and family draws need: a uniform int in
-    [low, high), or one per bound for a sequence of bounds, as numpy's
-    ``Generator.integers`` draws them. A ``Stream`` returns Python ints
+    [low, high), or one per bound for a sequence of bounds (each span at
+    most 2**32), as numpy's ``Generator.integers`` draws them. A ``Stream`` returns Python ints
     and lists; a numpy ``Generator`` seeded the same way draws the same
     values as numpy ints and arrays, which index and compare as ints do."""
 
@@ -315,10 +316,10 @@ class Stream:
         At a range of exactly 2**32 or 2**64 Lemire's method returns the
         raw word, which is what numpy draws there.
 
-        ``high`` may also be a sequence of bounds: then the result is a
-        list with one draw per bound, as ``integers(low, high_array)``
-        draws them, equal to (and leaving the state of) the same scalar
-        calls in order."""
+        ``high`` may also be a sequence of bounds, each at most
+        ``low + 2**32``: then the result is a list with one draw per bound,
+        as ``integers(low, high_array)`` draws them, equal to (and leaving
+        the state of) the same scalar calls in order."""
         try:
             in_range = -(1 << 63) <= low < high <= 1 << 63
         except TypeError:  # int < sequence: one draw per bound
@@ -346,11 +347,14 @@ class Stream:
         """``integers(low, high)`` for each bound in ``highs``, in order, with
         the generator's state, increment and kept half in locals and the
         LCG step inlined. Every bound is checked before anything is
-        drawn, as numpy checks its array."""
+        drawn, as numpy checks its array; a span above 2**32 is refused,
+        as no batch needs one (a random family's spans are at most 10,000)."""
         if not -(1 << 63) <= low < 1 << 63 or highs and not (
             low < min(highs) and max(highs) <= 1 << 63
         ):
             raise ValueError(f"need -2**63 <= low < every high <= 2**63, got {low}, {highs}")
+        if highs and max(highs) - low > 1 << 32:
+            raise ValueError(f"a batch draws spans up to 2**32, got {max(highs) - low}")
         state, inc = self._state, self._inc
         has_uint32, uinteger = self._has_uint32, self._uinteger
         out: list[int] = []
@@ -359,7 +363,7 @@ class Stream:
             span = high - low
             if span == 1:
                 append(low)
-            elif span <= 1 << 32:
+            else:
                 while True:
                     if has_uint32:
                         has_uint32 = 0
@@ -375,14 +379,6 @@ class Stream:
                     if m & _MASK32 >= span or m & _MASK32 >= (1 << 32) % span:
                         break
                 append(low + (m >> 32))
-            else:
-                while True:
-                    state = (state * _PCG_MULT + inc) & _MASK128
-                    x = (state >> 64 ^ state) & _MASK64
-                    m = (x * _ROTATE >> (state >> 122) & _MASK64) * span
-                    if m & _MASK64 >= span or m & _MASK64 >= (1 << 64) % span:
-                        break
-                append(low + (m >> 64))
         self._state, self._has_uint32, self._uinteger = state, has_uint32, uinteger
         return out
 

@@ -5,7 +5,7 @@ values come from, how membership churns, how the step topologies are
 produced, the step ``k_prime`` after which membership and topology
 distribution stay fixed, the family size ``T``, and the horizon.
 
-Parsing problems (missing keys, wrong types, malformed graphs, an
+Parsing problems (missing keys, wrong types, malformed graphs, a file,
 ``n_total``, ``T``, ``horizon`` or random family size above its
 ``MAX_*`` limit, a seed outside [0, 2**64)) raise ScenarioFormatError.
 Semantic problems (inconsistent churn, disconnected stable union,
@@ -182,10 +182,12 @@ class ValidationReport:
 _T = TypeVar("_T")
 _REQUIRED: Any = object()
 
-# Upper limits on a scenario's size, checked as it is parsed, before
-# anything is built from them: the id universe, the per-step walks of
-# validation and of a run, and the instances and edges of each random
-# family (n_total * T * min(min_out_degree, n_total - 1) at most).
+# Upper limits on a scenario's size, checked as it is read and parsed,
+# before anything is built from them: the file's bytes, the id universe,
+# the per-step walks of validation and of a run, and the instances and
+# edges of each random family (n_total * T * min(min_out_degree,
+# n_total - 1) at most).
+MAX_SCENARIO_BYTES = 16 * 1024 * 1024
 MAX_N_TOTAL = 10_000
 MAX_HORIZON = 100_000
 MAX_T = 1_000
@@ -410,9 +412,15 @@ def parse_scenario(data: Any) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and parse a scenario JSON file."""
+    """Read and parse a scenario JSON file of at most MAX_SCENARIO_BYTES."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_SCENARIO_BYTES + 1)
+        if len(raw) > MAX_SCENARIO_BYTES:
+            raise ScenarioFormatError(
+                f"{path}: the file is larger than the limit of {MAX_SCENARIO_BYTES} bytes"
+            )
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:
@@ -667,7 +675,7 @@ def _check_stochastic_churn(s: Scenario, out: _Findings) -> None:
             out.add("churn-interval", "error", f"bad interval [{iv.start}, {iv.end}]")
         if previous_end is not None and iv.start <= previous_end:
             out.add("churn-interval", "error", "churn intervals overlap")
-        previous_end = max(iv.end, previous_end or iv.end)
+        previous_end = iv.end if previous_end is None else max(iv.end, previous_end)
         if iv.end >= s.k_prime and iv.event_prob > 0:
             out.add(
                 "late-churn",

@@ -229,6 +229,47 @@ def test_file_not_utf8_exits_two(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+class TestScenarioByteLimit:
+    """A scenario file above MAX_SCENARIO_BYTES is malformed input (exit
+    2), refused after reading at most one byte past the limit."""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_endless_file_exits_two_in_bounded_memory(self, tmp_path, command):
+        # 300 MB of address space holds a read up to the limit, not an
+        # unbounded one: without the limit this ends in a MemoryError.
+        resource = pytest.importorskip("resource")
+        cap = 300 * 1024 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        out = tmp_path / "out"
+        argv = [command, "/dev/zero"] + (["--out", str(out)] if command == "run" else [])
+        proc = subprocess.run(
+            [sys.executable, "-m", "openavg", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        limit = scenario.MAX_SCENARIO_BYTES
+        assert f"/dev/zero: the file is larger than the limit of {limit} bytes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_file_of_exactly_the_limit_loads(self, scenarios_dir, tmp_path, monkeypatch):
+        text = (scenarios_dir / "static_small.json").read_text()
+        path = tmp_path / "small.json"
+        path.write_text(text)
+        size = path.stat().st_size
+        monkeypatch.setattr(scenario, "MAX_SCENARIO_BYTES", size)
+        assert scenario.load_scenario(path).n_total == 4
+        monkeypatch.setattr(scenario, "MAX_SCENARIO_BYTES", size - 1)
+        with pytest.raises(scenario.ScenarioFormatError, match=f"limit of {size - 1} bytes"):
+            scenario.load_scenario(path)
+
+
 class TestRunCommand:
     def test_writes_trace_per_seed(self, scenarios_dir, tmp_path, capsys):
         code = invoke(
@@ -330,6 +371,33 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert all(r["violation_count"] == "1" for r in rows)
         assert all(r["converged"] == "False" for r in rows)
+
+    def test_membership_changing_in_the_judged_window(self, tmp_path, capsys):
+        # An arrival after k_prime leaves no fixed active set to judge, so
+        # convergence_time refuses and the verdict columns stay empty. A
+        # random family has no stable cover to break, so this only warns.
+        data = {
+            "n_total": 4,
+            "initially_active": [0, 1, 2],
+            "initial_states": {"type": "explicit", "values": {"0": 1, "1": 2, "2": 3}},
+            "arrival_states": {"type": "uniform_int", "low": 1, "high": 5},
+            "churn": {"type": "explicit", "events": [{"step": 5, "arrivals": [3]}]},
+            "topology": {"type": "random_family", "min_out_degree": 1},
+            "k_prime": 2,
+            "T": 2,
+            "horizon": 10,
+            "seed": 1,
+        }
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(data))
+        assert invoke("sweep", str(path), "--seeds", "3", "--out", str(tmp_path)) == 0
+        assert "WARNING late-churn" in capsys.readouterr().out
+        with open(tmp_path / "late-sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["seed"] for r in rows] == ["1", "2", "3"]
+        for row in rows:
+            assert row["converged"] == "False"
+            assert row["settle_step"] == row["average"] == row["band"] == ""
 
     @pytest.mark.parametrize("name", ["theorem1_violation", "paper_sec5", "static_small"])
     def test_imbalance_columns_equal_the_audit(self, scenarios_dir, name):

@@ -396,11 +396,12 @@ class TestEdgeSetDefinitions:
 
 class TestChoiceReplay:
     """One node's draws: ``_choice`` on one batched ``rng.Stream`` draw
-    over ``_choice_bounds`` against numpy's ``Generator.choice(m, take,
-    replace=False)`` on the generator the stream replays. Only Floyd's
-    algorithm is replayed: above m = 10000 numpy may shuffle a tail
-    instead, so ``_choice_bounds`` refuses those sizes; MAX_N_TOTAL keeps
-    every family's m at 9999 or below."""
+    over ``_choice_bounds`` against the set numpy's ``Generator.choice(m,
+    take, replace=False)`` picks on the generator the stream replays,
+    ascending; the order its shuffle puts them in is not kept. Only
+    Floyd's algorithm is replayed: above m = 10000 numpy may shuffle a
+    tail instead, so ``_choice_bounds`` refuses those sizes; MAX_N_TOTAL
+    keeps every family's m at 9999 or below."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 799, 10000, 10001, 10050, 20000])
     def test_replay_equals_choice(self, m):
@@ -417,7 +418,7 @@ class TestChoiceReplay:
             for seed in range(4):
                 stream, ref_rng = rng.stream(seed, "x"), reference(seed, "x")
                 for _ in range(3):
-                    expected = ref_rng.choice(m, take, replace=False).tolist()
+                    expected = sorted(ref_rng.choice(m, take, replace=False).tolist())
                     values = iter(stream.integers(0, _choice_bounds(m, take)))
                     assert _choice(m, take, values) == expected, (take, seed)
                     assert next(values, None) is None  # one value per bound

@@ -195,10 +195,10 @@ def highs_array(highs):
     return np.array(highs, dtype=object if max(highs, default=0) >= 2**63 else np.int64)
 
 
-# Spans of every class: one value (no draw), 32-bit Lemire (2, 3,
-# 2**31 + 1, the widest 2**32 - 1), the raw 32-bit word (2**32) and 64-bit
-# Lemire (2**32 + 1, and 2**63, which never rejects). The raw 64-bit word
-# of the full int64 range, 2**64, is test_full_int64_range.
+# Spans of every class a batch draws: one value (no draw), 32-bit Lemire
+# (2, 3, 2**31 + 1, the widest 2**32 - 1) and the raw 32-bit word (2**32).
+# Wider spans, which would need 64-bit words, are refused: 2**32 + 1 and
+# 2**63 here, and the full int64 range, 2**64, in test_full_int64_range.
 BATCH_SPANS = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63]
 
 
@@ -207,19 +207,34 @@ def assert_batch_replays(seed, calls):
     assert_replays(seed, ("batch",), calls)
 
 
+def assert_batch_refused(seed, low, highs):
+    """A batch with a span above 2**32 raises before it draws: the stream
+    then draws on as numpy does without it, spare 32-bit half included."""
+    stream, expected = rng.stream(seed, "batch"), reference(seed, "batch")
+    assert_draws_equal(stream, expected, [(0, 3)], seed)
+    with pytest.raises(ValueError, match=r"a batch draws spans up to 2\*\*32"):
+        stream.integers(low, highs)
+    assert_draws_equal(stream, expected, [(0, 3), (0, [5, 2**32])], seed)
+
+
 class TestBatchedDraws:
     """``integers(low, highs)`` against numpy's ``integers(low, array)``:
     the values, and the generator state after them, including the spare
-    32-bit half carried into and out of a batch."""
+    32-bit half carried into and out of a batch. Spans above 2**32 are
+    refused before anything is drawn."""
 
     @pytest.mark.parametrize("span", BATCH_SPANS)
     @pytest.mark.parametrize("low", [0, -7, -2**62])
     def test_one_span(self, span, low):
         for seed in range(3):
-            assert_batch_replays(seed, [(low, [low + span] * 5), (low, [low + span] * 6)])
+            if span > 2**32:
+                assert_batch_refused(seed, low, [low + span] * 5)
+            else:
+                assert_batch_replays(seed, [(low, [low + span] * 5), (low, [low + span] * 6)])
 
     def test_full_int64_range(self):
-        assert_batch_replays(1, [(-2**63, [2**63, 2**63, 5, 2**63])])
+        assert_batch_refused(1, -2**63, [2**63, 2**63, 5, 2**63])
+        assert_batch_refused(1, 0, [5, 2**32 + 1, 7])  # one wide span refuses all
 
     def test_empty_draws_nothing(self):
         stream = rng.stream(1, "batch")
@@ -234,7 +249,7 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_spans(self, seed):
-        highs = [s for s in BATCH_SPANS if s < 2**63] * 3 + [2, 3, 99, 100, 1, 2]
+        highs = [s for s in BATCH_SPANS if s <= 2**32] * 3 + [2, 3, 99, 100, 1, 2]
         assert_batch_replays(seed, [(0, highs), (-5, [h - 5 for h in reversed(highs)])])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -242,7 +257,7 @@ class TestBatchedDraws:
         # An odd number of 32-bit draws leaves a spare half for the next
         # call, scalar or batched; a 64-bit draw leaves it in place.
         assert_batch_replays(seed, [
-            (0, 3), (0, [5, 2**40, 7]), (0, 9), (0, [3]), (0, [4, 4]),
+            (0, 3), (0, [5, 2**32, 7]), (0, 9), (0, [3]), (0, [4, 4]),
             (0, 2**33), (0, [6]), (0, 11), (0, [2, 2, 2**32 - 1]), (0, 5),
         ])
 
@@ -298,10 +313,15 @@ def test_random_bound_sequences_equal_numpy(seed, key, calls):
     assert_replays(seed, tuple(key), calls)
 
 
+batch_spans = st.one_of(
+    st.integers(1, 16),
+    st.integers(1, 2**32),
+    st.sampled_from([3 * 2**30 + 1, 2**32 - 1, 2**32]),
+)
 batches = st.builds(
     lambda low, spans: (low, [min(low + span, 2**63) for span in spans]),
     st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-100, 100)),
-    st.lists(spans, max_size=12),
+    st.lists(batch_spans, max_size=12),
 )
 
 

@@ -612,6 +612,25 @@ class TestValidationErrors:
         data["arrival_states"] = {"type": "uniform_int", "low": 1, "high": 5}
         assert "churn-interval" in errors_of(data)
 
+    def test_interval_ending_at_step_0_bounds_the_next(self):
+        # An end of 0 is an end like any other: [0, 3] overlaps [0, 0]
+        # whatever the malformed [0, -1] between them says.
+        data = base_dict()
+        data["churn"] = {
+            "type": "stochastic",
+            "intervals": [
+                {"start": 0, "end": 0, "event_prob": 0.1},
+                {"start": 0, "end": -1, "event_prob": 0.1},
+                {"start": 0, "end": 3, "event_prob": 0.1},
+            ],
+        }
+        data["k_prime"] = 10
+        data["horizon"] = 40
+        data["topology"] = {"type": "random_family", "min_out_degree": 1}
+        data["arrival_states"] = {"type": "uniform_int", "low": 1, "high": 5}
+        messages = [f.message for f in validate_scenario(parse_scenario(data)).errors()]
+        assert messages.count("churn intervals overlap") == 2
+
     def test_event_probability_range(self):
         data = base_dict()
         data["churn"] = {
