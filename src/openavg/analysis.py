@@ -78,8 +78,65 @@ class ConvergenceReport:
     final_estimates: dict[int, int]
 
 
-def convergence_time(trace: Sequence["RoundRecord"], from_step: int) -> ConvergenceReport:
-    """Judge convergence over trace[from_step:].
+class ConvergenceFold:
+    """``convergence_time``'s judgment, taking one record at a time.
+
+    It holds the judged window's members and average, the latest
+    estimates and the step they last changed, so O(n) however long the
+    trace. ``report`` gives ``convergence_time``'s result, or raises its
+    ``ValueError``, for the records added so far.
+    """
+
+    def __init__(self, from_step: int) -> None:
+        self.from_step = from_step
+        self.horizon: int | None = None  # step of the last record added
+        self.members: frozenset[int] | None = None  # of the window
+        self.order: list[int] = []  # the members, ascending
+        self.average = Fraction(0)
+        self.estimates: tuple[int, ...] = ()
+        self.last_change = from_step
+        self.seen = 0  # window records so far
+        self.moved = False  # membership changed inside the window
+
+    def add(self, record: "RoundRecord") -> None:
+        self.horizon = record.step
+        if record.step < self.from_step or self.moved:
+            return
+        if self.members is None:
+            self.members, self.average = record.active, record.q_true
+            self.order = sorted(record.active)
+        elif record.active != self.members:
+            self.moved = True
+            return
+        estimates = tuple(record.per_node[v].q_s for v in self.order)
+        if self.seen and estimates != self.estimates:
+            self.last_change = self.from_step + self.seen
+        self.estimates = estimates
+        self.seen += 1
+
+    def report(self) -> ConvergenceReport:
+        if self.horizon is None:
+            raise ValueError("empty trace")
+        if not 0 <= self.from_step <= self.horizon:
+            raise ValueError(f"from_step {self.from_step} outside [0, {self.horizon}]")
+        if self.moved:
+            raise ValueError("membership changes inside the judged window")
+        band = frozenset({math.floor(self.average), math.ceil(self.average)})
+        final = dict(zip(self.order, self.estimates))
+        converged = all(value in band for value in final.values()) and (
+            self.last_change < self.horizon
+        )
+        return ConvergenceReport(
+            converged=converged,
+            settle_step=self.last_change if converged else None,
+            average=self.average,
+            band=band,
+            final_estimates=final,
+        )
+
+
+def convergence_time(trace: Iterable["RoundRecord"], from_step: int) -> ConvergenceReport:
+    """Judge convergence over the records of ``trace`` from ``from_step`` on.
 
     The window must have fixed membership (that is the regime the
     guarantee speaks about); changing membership inside it is a caller
@@ -87,33 +144,10 @@ def convergence_time(trace: Sequence["RoundRecord"], from_step: int) -> Converge
     reports not converged. Extending the horizon never moves an already
     reported settle step earlier.
     """
-    if not trace:
-        raise ValueError("empty trace")
-    horizon = trace[-1].step
-    if not 0 <= from_step <= horizon:
-        raise ValueError(f"from_step {from_step} outside [0, {horizon}]")
-    window = [r for r in trace if r.step >= from_step]
-    members = window[0].active
-    if any(r.active != members for r in window):
-        raise ValueError("membership changes inside the judged window")
-    average = window[0].q_true
-    band = frozenset({math.floor(average), math.ceil(average)})
-
-    series = [tuple(r.per_node[v].q_s for v in sorted(members)) for r in window]
-    last_change = from_step
-    for i in range(1, len(series)):
-        if series[i] != series[i - 1]:
-            last_change = from_step + i
-    final = {v: window[-1].per_node[v].q_s for v in sorted(members)}
-    in_band = all(value in band for value in final.values())
-    converged = in_band and last_change < horizon
-    return ConvergenceReport(
-        converged=converged,
-        settle_step=last_change if converged else None,
-        average=average,
-        band=band,
-        final_estimates=final,
-    )
+    fold = ConvergenceFold(from_step)
+    for record in trace:
+        fold.add(record)
+    return fold.report()
 
 
 class AuditRow(NamedTuple):

@@ -13,13 +13,14 @@ another internal check failed, which means a bug).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .analysis import convergence_time
-from .engine import EngineInvariantError, RoundRecord, run
+from .analysis import ConvergenceFold
+from .engine import EngineInvariantError, RoundRecord, simulate
 from .reporting import (
     render_error_svg,
     render_estimates_svg,
@@ -103,46 +104,85 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok(strict=args.strict) else EXIT_VALIDATION
 
 
-def _summarize(scenario: Scenario, seed: int, records: list[RoundRecord]) -> dict[str, object]:
-    # The engine's ledger makes conservation_audit's row k minus the
-    # surplus lost before step k, so the largest imbalance is the largest
-    # running loss over every record but the last.
-    lost_y = lost_z = max_y = max_z = 0
-    for record in records[:-1]:
+class _Summary:
+    """One seed's summary, folded over its records one at a time."""
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.convergence = ConvergenceFold(scenario.k_prime)
+        self.steps = self.violations = self.epsilon = 0
+        self.lost_y = self.lost_z = self.max_y = self.max_z = 0
+
+    def add(self, record: RoundRecord) -> RoundRecord:
+        """Fold ``record`` in and hand it on."""
+        # The engine's ledger makes conservation_audit's row k minus the
+        # surplus lost before step k, so the largest imbalance is the
+        # largest running loss over every record but the last: a record's
+        # loss counts once a later record arrives.
+        self.max_y = max(self.max_y, abs(self.lost_y))
+        self.max_z = max(self.max_z, abs(self.lost_z))
         for violation in record.violations:
-            lost_y += violation.lost_y
-            lost_z += violation.lost_z
-        max_y, max_z = max(max_y, abs(lost_y)), max(max_z, abs(lost_z))
-    try:
-        report = convergence_time(records, scenario.k_prime)
-        converged = report.converged
-        settle = "" if report.settle_step is None else str(report.settle_step)
-        average = f"{report.average.numerator}/{report.average.denominator}"
-        band = "|".join(str(b) for b in sorted(report.band))
-    except ValueError:
-        # membership kept changing inside the judged window
-        converged = False
-        settle, average, band = "", "", ""
-    return {
-        "seed": seed,
-        "converged": converged,
-        "settle_step": settle,
-        "average": average,
-        "band": band,
-        "residual_error": records[-1].epsilon,
-        "max_abs_y_imbalance": max_y,
-        "max_abs_z_imbalance": max_z,
-        "violation_count": sum(len(r.violations) for r in records),
-    }
+            self.lost_y += violation.lost_y
+            self.lost_z += violation.lost_z
+        self.violations += len(record.violations)
+        self.steps += 1
+        self.epsilon = record.epsilon
+        self.convergence.add(record)
+        return record
+
+    def row(self, seed: int) -> dict[str, object]:
+        try:
+            report = self.convergence.report()
+            converged = report.converged
+            settle = "" if report.settle_step is None else str(report.settle_step)
+            average = f"{report.average.numerator}/{report.average.denominator}"
+            band = "|".join(str(b) for b in sorted(report.band))
+        except ValueError:
+            # membership kept changing inside the judged window
+            converged = False
+            settle, average, band = "", "", ""
+        return {
+            "seed": seed,
+            "converged": converged,
+            "settle_step": settle,
+            "average": average,
+            "band": band,
+            "residual_error": self.epsilon,
+            "max_abs_y_imbalance": self.max_y,
+            "max_abs_z_imbalance": self.max_z,
+            "violation_count": self.violations,
+        }
 
 
-def _checked_run(scenario: Scenario, seed: int) -> list[RoundRecord]:
-    """Records of one seed; an engine invariant breach exits with code 3."""
+def _summarize(scenario: Scenario, seed: int, records: Iterable[RoundRecord]) -> dict[str, object]:
+    summary = _Summary(scenario)
+    for record in records:
+        summary.add(record)
+    return summary.row(seed)
+
+
+def _checked(seed: int, records: Iterator[RoundRecord]) -> Iterator[RoundRecord]:
+    """The records of ``seed``; an engine invariant breach exits with code 3."""
     try:
-        return run(scenario, seed)
+        yield from records
     except EngineInvariantError as exc:
         print(f"seed {seed}: invariant breach: {exc}", file=sys.stderr)
         raise _Exit(EXIT_INVARIANT) from exc
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """A temporary path beside ``path``, moved onto it if the block ends
+    normally and removed if it raises, so no partial file is left."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield temporary
+        try:
+            os.replace(temporary, path)
+        except OSError as exc:  # name the output, not the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -150,20 +190,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     stem = Path(args.scenario).stem
     for seed in args.seed or (scenario.seed,):
-        records = _checked_run(scenario, seed)
+        summary = _Summary(scenario)
+        records: Iterable[RoundRecord] = map(
+            summary.add, _checked(seed, simulate(scenario, seed))
+        )
         trace_path = out_dir / f"{stem}-seed{seed}-trace.csv"
-        with _writing():
-            write_trace_csv(records, scenario.n_total, trace_path)
-        summary = _summarize(scenario, seed, records)
+        with _writing(), _replacing(trace_path) as temporary:
+            if args.svg:
+                records = list(records)  # the charts need every record
+            write_trace_csv(records, scenario.n_total, temporary)
+        row = summary.row(seed)
         state = (
-            f"settled at step {summary['settle_step']}"
-            if summary["converged"]
-            else "did not settle"
+            f"settled at step {row['settle_step']}" if row["converged"] else "did not settle"
         )
         print(
-            f"seed {seed}: {len(records)} steps, final error "
-            f"{records[-1].epsilon}, {state}, "
-            f"{summary['violation_count']} violation(s), trace -> {trace_path}"
+            f"seed {seed}: {summary.steps} steps, final error "
+            f"{row['residual_error']}, {state}, "
+            f"{row['violation_count']} violation(s), trace -> {trace_path}"
         )
         if args.svg:
             estimates_path = out_dir / f"{stem}-seed{seed}-estimates.svg"
@@ -178,7 +221,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _prepare(args, strict=False, seeds=args.seeds)
     rows = [
-        _summarize(scenario, seed, _checked_run(scenario, seed))
+        _summarize(scenario, seed, _checked(seed, simulate(scenario, seed)))
         for seed in range(scenario.seed, scenario.seed + args.seeds)
     ]
     path = Path(args.out) / f"{Path(args.scenario).stem}-sweep.csv"

@@ -1,6 +1,9 @@
 """Synchronous round engine.
 
-One step k works on the active set V[k]:
+``simulate`` yields one record per step as the step is done, holding
+one step's states at a time; ``run`` is the list of those records, so
+its memory grows with n * horizon. One step k works on the active set
+V[k]:
 
 1. resolve membership: the active set after this boundary is the next
    one ``scenario.active_sets`` yields, scheduled or drawn
@@ -25,7 +28,7 @@ runs with the same scenario and seed produce identical traces.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -106,7 +109,7 @@ def draw_topology(
     """Directed instance in force at ``step`` over the given active set.
 
     Random-family mode picks one member of ``family``, the family of
-    ``active`` that ``run`` holds, uniformly. Explicit mode uses the
+    ``active`` that ``simulate`` holds, uniformly. Explicit mode uses the
     instance ``ExplicitTopology.fixed_at`` gives, and draws a
     probability-weighted stable instance where it gives none. The draw
     for a given (seed, step) does not depend on any other step's draw.
@@ -150,16 +153,19 @@ def _state_value(
     return rng.stream(seed, *stream_key).integers(source.low, source.high + 1)
 
 
-def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
-    """Simulate steps 0..horizon and return one record per step.
+def simulate(scenario: Scenario, seed: int | None = None) -> Iterator[RoundRecord]:
+    """Simulate steps 0..horizon, yielding one record per step.
 
     Refuses seeds outside [0, 2**64) and scenarios with validation
-    errors; warnings (a scheduled stranded departure, say) are allowed,
-    as those runs are exactly how the failure modes are studied.
+    errors when called, before anything is iterated; warnings (a
+    scheduled stranded departure, say) are allowed, as those runs are
+    exactly how the failure modes are studied. The generator holds one
+    step's states at a time, whatever the horizon.
 
     Conservation is checked after every step: the states' mass offset
     must equal minus the surplus that stranded departures destroyed so
-    far, exactly. Any other offset raises EngineInvariantError.
+    far, exactly. Any other offset raises EngineInvariantError from the
+    step's ``next()``, before its record is yielded.
     """
     report = validate_scenario(scenario)
     if report.errors():
@@ -167,7 +173,15 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     seed = scenario.seed if seed is None else seed
     if not 0 <= seed <= rng.MAX_SEED:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return _steps(scenario, seed)
 
+
+def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
+    """Every record ``simulate`` yields, as a list."""
+    return list(simulate(scenario, seed))
+
+
+def _steps(scenario: Scenario, seed: int) -> Iterator[RoundRecord]:
     # Only the active set's family is held; a set that returns redraws it.
     random_family = isinstance(scenario.topology, RandomFamilyTopology)
     family_nodes, family = None, None
@@ -183,7 +197,6 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
     # Surplus (y - 2x, z - 2) destroyed by stranded departures so far.
     lost_y = lost_z = 0
 
-    records: list[RoundRecord] = []
     average = None  # of the active set, computed when the set changes
     for k in range(scenario.horizon + 1):
         next_active = next(sets)
@@ -243,19 +256,16 @@ def run(scenario: Scenario, seed: int | None = None) -> list[RoundRecord]:
                 "beyond what stranded departures lost"
             )
 
-        records.append(
-            RoundRecord(
-                step=k,
-                active=active,
-                membership=membership,
-                per_node=per_node,
-                q_true=average,
-                epsilon=error.value,
-                excluded=error.excluded,
-                violations=tuple(violations),
-            )
+        yield RoundRecord(
+            step=k,
+            active=active,
+            membership=membership,
+            per_node=per_node,
+            q_true=average,
+            epsilon=error.value,
+            excluded=error.excluded,
+            violations=tuple(violations),
         )
         if membership.arriving or membership.departing:
             average = None
         active = next_active
-    return records

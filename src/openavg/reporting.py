@@ -50,7 +50,7 @@ def trace_rows(records: Iterable[RoundRecord], n_total: int) -> Iterator[list[st
         yield row
 
 
-def write_trace_csv(records: Sequence[RoundRecord], n_total: int, path: str | Path) -> None:
+def write_trace_csv(records: Iterable[RoundRecord], n_total: int, path: str | Path) -> None:
     """One row per step: network aggregates, then every node's estimate.
 
     Inactive nodes get empty cells. The violations cell holds

@@ -412,10 +412,18 @@ def parse_scenario(data: Any) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and parse a scenario JSON file of at most MAX_SCENARIO_BYTES."""
+    """Read and parse a scenario JSON file of at most MAX_SCENARIO_BYTES.
+
+    The file is read in chunks of at most 64 KiB, up to one byte past the
+    limit, so a small file costs a small buffer.
+    """
     try:
+        raw = bytearray()
         with open(path, "rb") as fh:
-            raw = fh.read(MAX_SCENARIO_BYTES + 1)
+            while len(raw) <= MAX_SCENARIO_BYTES and (
+                chunk := fh.read(min(1 << 16, MAX_SCENARIO_BYTES + 1 - len(raw)))
+            ):
+                raw += chunk
         if len(raw) > MAX_SCENARIO_BYTES:
             raise ScenarioFormatError(
                 f"{path}: the file is larger than the limit of {MAX_SCENARIO_BYTES} bytes"

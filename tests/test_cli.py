@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -327,6 +328,7 @@ class TestRunCommand:
         assert code == 3
         assert dropped
         assert "conservation" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no trace, no temporary file
 
     def test_breach_after_stranded_departure_exits_three(
         self, scenarios_dir, tmp_path, capsys, drop_token
@@ -339,6 +341,32 @@ class TestRunCommand:
         assert code == 3
         assert dropped
         assert "conservation" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no trace, no temporary file
+
+
+    def test_memory_does_not_grow_with_the_horizon(self, scenarios_dir, tmp_path, monkeypatch):
+        # Records are written as they arrive, so the run holds one step at
+        # a time. Loading is left out: it is the same at every horizon. An
+        # untraced first run does the one-time set-up. What may differ is
+        # the bounded caches of rng (up to 256 step heads of about 1 KB);
+        # a run that kept its records would grow by about 1.4 KB per step,
+        # 2.5 MB here.
+        data = json.loads((scenarios_dir / "static_small.json").read_text())
+        path = tmp_path / "long.json"
+        peaks = []
+        for horizon, traced in ((2000, False), (200, True), (2000, True)):
+            path.write_text(json.dumps(dict(data, horizon=horizon)))
+            loaded = scenario.load_scenario(path)
+            monkeypatch.setattr(cli, "load_scenario", lambda _: loaded)
+            if traced:
+                tracemalloc.start()
+            try:
+                assert invoke("run", str(path), "--out", str(tmp_path)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        _, short, long = peaks
+        assert long - short < 2**19, (short, long)
 
 
 class TestSweepCommand:
@@ -465,6 +493,8 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("cannot write output: ")
         assert "Traceback" not in err
+        if blocked.endswith("-trace.csv"):
+            assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])

@@ -137,6 +137,23 @@ class TestRunBasics:
             run(bad)
 
 
+class TestSimulate:
+    def test_run_lists_what_simulate_yields(self):
+        scenario = mini_stochastic()
+        assert list(engine.simulate(scenario, 3)) == run(scenario, 3)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_refused_before_iterating(self, scenarios_dir, seed):
+        scenario = load_scenario(scenarios_dir / "static_small.json")
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            engine.simulate(scenario, seed)
+
+    def test_validation_gate_before_iterating(self):
+        bad = dataclasses.replace(mini_stochastic(), k_prime=99)
+        with pytest.raises(ScenarioValidationError):
+            engine.simulate(bad)
+
+
 class TestArrivals:
     def test_arrival_effective_next_step(self):
         records = run(arrival_fixture())

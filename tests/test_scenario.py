@@ -217,6 +217,17 @@ class TestParsing:
 
 
 class TestBundledScenarios:
+    @pytest.mark.parametrize("name", ["paper_sec5", "static_small", "theorem1_violation"])
+    def test_loading_allocates_little(self, scenarios_dir, name):
+        # A read of the whole size limit at once would reserve 16 MiB.
+        tracemalloc.start()
+        try:
+            load_scenario(scenarios_dir / f"{name}.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_all_bundled_files_parse_clean(self, scenarios_dir):
         for name in ("paper_sec5", "static_small", "theorem1_violation"):
             s = load_scenario(scenarios_dir / f"{name}.json")
